@@ -22,18 +22,17 @@ from .closed_forms import (
     closed_form_geodesic,
     numeric_velocity,
 )
-from .connection import DEFAULT_TOL, GeodesicState, integrate_geodesic, state_speed
+from .connection import DEFAULT_TOL, GeodesicState, annotate_states, integrate_geodesic
 from .profiles import cone, cylinder, slice_profile, tan_profile, tanh_profile, validate_profile
 from .space import DomainError, MetricParams, Point3, SpaceClass, classify
 from .surfaces import (
     SurfaceGeodesicState,
     default_grid,
     meridian_is_geodesic,
-    parallel_is_geodesic,
+    parallel_geodesic_radii,
     second_fundamental_form,
     surface_geodesic_integrate,
 )
-from .symmetry import first_integrals
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -76,9 +75,10 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _trace_row(t, pos, vel, integrals, speed) -> str:
-    vals = [t, *pos, *vel, *integrals, speed]
-    return ",".join(_fmt(v) for v in vals)
+def _print_trace(ts, states, integrals, speeds) -> None:
+    print(TRACE_HEADER)
+    for t, s, ints, spd in zip(ts, states, integrals, speeds):
+        print(",".join(_fmt(v) for v in (t, *s, *ints, spd)))
 
 
 def cmd_geodesic(args) -> int:
@@ -112,17 +112,11 @@ def cmd_geodesic(args) -> int:
     if args.method == "closed":
         ts = np.linspace(0.0, args.t_max, args.samples)
         try:
-            pos = closed.position(ts)
-            vel = numeric_velocity(closed.position, ts)
+            states = np.hstack([closed.position(ts), numeric_velocity(closed.position, ts)])
         except BranchDomainError as exc:
             print(f"geodesic: {exc}", file=sys.stderr)
             return EXIT_INVALID
-        print(TRACE_HEADER)
-        for i, t in enumerate(ts):
-            st = GeodesicState(Point3(*pos[i]), vel[i])
-            ints = first_integrals(params, st)
-            spd = state_speed(params, pos[i], vel[i])
-            print(_trace_row(t, pos[i], vel[i], ints, spd))
+        _print_trace(ts, states, *annotate_states(params, states))
         return EXIT_OK
 
     try:
@@ -139,10 +133,7 @@ def cmd_geodesic(args) -> int:
     if not traj.complete:
         exit_code = EXIT_PARTIAL
 
-    print(TRACE_HEADER)
-    for i, t in enumerate(traj.ts):
-        s = traj.states[i]
-        print(_trace_row(t, s[:3], s[3:], traj.integrals[i], traj.speeds[i]))
+    _print_trace(traj.ts, traj.states, traj.integrals, traj.speeds)
 
     if args.method == "both":
         try:
@@ -205,30 +196,8 @@ def cmd_surface(args) -> int:
             return EXIT_OK
 
         if args.action == "parallels":
-            lo, hi = profile.u_domain
-            us = np.linspace(lo, hi, args.grid)
-            roots = []
-            prev_u = None
-            prev_r = None
-            for u in us:
-                _, r = parallel_is_geodesic(params, profile, float(u))
-                if abs(r) < 1e-10:
-                    roots.append(float(u))
-                elif prev_r is not None and prev_r * r < 0.0:
-                    # bisect the sign change
-                    a, b = prev_u, float(u)
-                    ra = prev_r
-                    for _ in range(80):
-                        c = 0.5 * (a + b)
-                        _, rc = parallel_is_geodesic(params, profile, c)
-                        if ra * rc <= 0.0:
-                            b = c
-                        else:
-                            a, ra = c, rc
-                    roots.append(0.5 * (a + b))
-                prev_u, prev_r = float(u), r
             print("u0")
-            for r in roots:
+            for r in parallel_geodesic_radii(params, profile, args.grid):
                 print(_fmt(r))
             return EXIT_OK
 

@@ -22,9 +22,12 @@ The twisted families share the shape
 
 with the rotation angle T = arctan(l w tan(A t / 2) / A) continued through
 the tangent poles (`unwrap_T`), T = arctan(l w tanh(C t / 2) / C), and
-T = arctan(l w t / 2) respectively.  Every formula here is validated
-against the Runge-Kutta oracle in `connection`; the adjudication record
-for the variants that failed validation lives in docs/geodesic_atlas.md.
+T = arctan(l w t / 2) respectively.  Each family computes only (r, T); the
+rotation and the height z are evaluated once, in a tail the three share,
+and the planar-radial and product-vertical cases share one tan/linear/tanh
+conformal radius.  Every formula here is validated against the Runge-Kutta
+oracle in `connection`; the adjudication record for the variants that
+failed validation lives in docs/geodesic_atlas.md.
 """
 
 from __future__ import annotations
@@ -118,61 +121,50 @@ def unwrap_T(A: float, lw: float, t) -> np.ndarray:
     return principal + math.pi * np.sign(lw) * np.floor(A * t / (2.0 * math.pi) + 0.5)
 
 
-def _rotate(u: float, v: float, r, T):
-    cT = np.cos(T)
-    sT = np.sin(T)
-    return r * (u * cT - v * sT), r * (v * cT + u * sT)
+def _twisted(params: MetricParams, v0, t, radius_angle) -> np.ndarray:
+    """Twisted-family position from the family's `radius_angle(a_sq, lw, t)`,
+    which returns (r, T): (u, v) rotated by T and scaled by r, plus the height."""
+    u, v, w = (float(c) for c in v0)
+    l, m = params.l, params.m
+    if m == 0.0:
+        raise ValueError("m = 0 belongs to the heisenberg case")
+    t = np.asarray(t, dtype=float)
+    r, T = radius_angle(discriminant(params, v0), l * w, t)
+    cT, sT = np.cos(T), np.sin(T)
+    z = w * t - (l * l * w / (4.0 * m)) * t + (l / (2.0 * m)) * T
+    return np.stack([r * (u * cT - v * sT), r * (v * cT + u * sT), z], axis=-1)
 
 
 def eval_trig_twisted(params: MetricParams, v0, t) -> np.ndarray:
     """Twisted geodesic for l != 0, m != 0, w != 0 and A^2 > 0."""
-    u, v, w = (float(c) for c in v0)
-    l, m = params.l, params.m
-    if m == 0.0:
-        raise ValueError("m = 0 belongs to the heisenberg case")
-    t = np.asarray(t, dtype=float)
-    A = math.sqrt(discriminant(params, v0))
-    lw = l * w
-    phi = 0.5 * A * t
-    s, c = np.sin(phi), np.cos(phi)
-    r = 2.0 * s / np.sqrt(A * A * c * c + lw * lw * s * s)
-    T = unwrap_T(A, lw, t)
-    x, y = _rotate(u, v, r, T)
-    z = w * t - (l * l * w / (4.0 * m)) * t + (l / (2.0 * m)) * T
-    return np.stack([x, y, z], axis=-1)
+
+    def radius_angle(a_sq, lw, t):
+        A = math.sqrt(a_sq)
+        phi = 0.5 * A * t
+        s, c = np.sin(phi), np.cos(phi)
+        return 2.0 * s / np.sqrt(A * A * c * c + lw * lw * s * s), unwrap_T(A, lw, t)
+
+    return _twisted(params, v0, t, radius_angle)
 
 
 def eval_hyp_twisted(params: MetricParams, v0, t) -> np.ndarray:
     """Twisted geodesic for A^2 < 0 (forces m < 0)."""
-    u, v, w = (float(c) for c in v0)
-    l, m = params.l, params.m
-    if m == 0.0:
-        raise ValueError("m = 0 belongs to the heisenberg case")
-    t = np.asarray(t, dtype=float)
-    a_sq = discriminant(params, v0)
-    C = math.sqrt(-a_sq)
-    lw = l * w
-    th = np.tanh(0.5 * C * t)
-    r = 2.0 * th / np.sqrt(C * C + lw * lw * th * th)
-    T = np.arctan(lw * th / C)
-    x, y = _rotate(u, v, r, T)
-    z = w * t - (l * l * w / (4.0 * m)) * t + (l / (2.0 * m)) * T
-    return np.stack([x, y, z], axis=-1)
+
+    def radius_angle(a_sq, lw, t):
+        C = math.sqrt(-a_sq)
+        th = np.tanh(0.5 * C * t)
+        return 2.0 * th / np.sqrt(C * C + lw * lw * th * th), np.arctan(lw * th / C)
+
+    return _twisted(params, v0, t, radius_angle)
 
 
 def eval_parabolic_twisted(params: MetricParams, v0, t) -> np.ndarray:
     """Twisted geodesic for A^2 = 0 (forces m < 0)."""
-    u, v, w = (float(c) for c in v0)
-    l, m = params.l, params.m
-    if m == 0.0:
-        raise ValueError("m = 0 belongs to the heisenberg case")
-    t = np.asarray(t, dtype=float)
-    lw = l * w
-    r = 2.0 * t / np.sqrt(4.0 + lw * lw * t * t)
-    T = np.arctan(0.5 * lw * t)
-    x, y = _rotate(u, v, r, T)
-    z = w * t - (l * l * w / (4.0 * m)) * t + (l / (2.0 * m)) * T
-    return np.stack([x, y, z], axis=-1)
+
+    def radius_angle(a_sq, lw, t):
+        return 2.0 * t / np.sqrt(4.0 + lw * lw * t * t), np.arctan(0.5 * lw * t)
+
+    return _twisted(params, v0, t, radius_angle)
 
 
 def eval_heisenberg(params: MetricParams, v0, t) -> np.ndarray:
@@ -196,6 +188,20 @@ def eval_heisenberg(params: MetricParams, v0, t) -> np.ndarray:
     return np.stack([x, y, z], axis=-1)
 
 
+def _ray(m: float, u: float, v: float, b: float, t):
+    """(x, y) on the ray of direction (u, v)/b, b = |(u, v)| > 0, with the
+    conformal radius tan for m > 0, linear for m = 0, tanh for m < 0."""
+    if m > 0.0:
+        sm = math.sqrt(m)
+        r = np.tan(sm * b * t) / sm
+    elif m == 0.0:
+        r = b * t
+    else:
+        sm = math.sqrt(-m)
+        r = np.tanh(sm * b * t) / sm
+    return u * r / b, v * r / b
+
+
 def eval_planar_radial(params: MetricParams, v0, t) -> np.ndarray:
     """Radial geodesic in the z = 0 slice (w = 0, any l).
 
@@ -205,21 +211,11 @@ def eval_planar_radial(params: MetricParams, v0, t) -> np.ndarray:
     sqrt(m) b t = pi/2 and re-enters from the opposite side.
     """
     u, v, _ = (float(c) for c in v0)
-    m = params.m
     b = math.hypot(u, v)
     if b == 0.0:
         raise ValueError("planar case requires a nonzero horizontal velocity")
     t = np.asarray(t, dtype=float)
-    if m > 0.0:
-        sm = math.sqrt(m)
-        r = np.tan(sm * b * t) / sm
-    elif m == 0.0:
-        r = b * t
-    else:
-        sm = math.sqrt(-m)
-        r = np.tanh(sm * b * t) / sm
-    x = u * r / b
-    y = v * r / b
+    x, y = _ray(params.m, u, v, b, t)
     return np.stack([x, y, np.zeros_like(x)], axis=-1)
 
 
@@ -240,20 +236,9 @@ def eval_product_vertical(params: MetricParams, v0, t) -> np.ndarray:
     if b == 0.0:
         x = np.zeros_like(t)
         return np.stack([x, x, z], axis=-1)
-    if m > 0.0:
-        sm = math.sqrt(m)
-        if np.max(np.abs(sm * b * t)) >= 0.5 * math.pi:
-            raise BranchDomainError(
-                "time leaves the principal branch |sqrt(m) b t| < pi/2"
-            )
-        r = np.tan(sm * b * t) / sm
-    elif m == 0.0:
-        r = b * t
-    else:
-        sm = math.sqrt(-m)
-        r = np.tanh(sm * b * t) / sm
-    x = u * r / b
-    y = v * r / b
+    if m > 0.0 and np.max(np.abs(math.sqrt(m) * b * t)) >= 0.5 * math.pi:
+        raise BranchDomainError("time leaves the principal branch |sqrt(m) b t| < pi/2")
+    x, y = _ray(m, u, v, b, t)
     return np.stack([x, y, z], axis=-1)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "sectional_curvature",
     "frame_sectional",
     "state_speed",
+    "annotate_states",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -176,7 +177,7 @@ def state_speed(params: MetricParams, point, velocity) -> float:
     return math.sqrt(max(float(v @ g @ v), 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """A time-sampled geodesic with conserved-quantity annotations.
 
@@ -200,9 +201,9 @@ class Trajectory:
     integrals: np.ndarray
     speeds: np.ndarray
     exit_reason: str
-    _knots_t: np.ndarray = field(repr=False, default=None)
-    _knots_y: np.ndarray = field(repr=False, default=None)
-    _knots_f: np.ndarray = field(repr=False, default=None)
+    _knots_t: np.ndarray = field(repr=False)
+    _knots_y: np.ndarray = field(repr=False)
+    _knots_f: np.ndarray = field(repr=False)
 
     @property
     def complete(self) -> bool:
@@ -220,10 +221,11 @@ class Trajectory:
         return self.states[:, :3]
 
 
-def _annotate(params: MetricParams, ts, states, exit_reason) -> Trajectory:
+def annotate_states(params: MetricParams, states) -> tuple[np.ndarray, np.ndarray]:
+    """Killing pairings (n, 4) and metric speeds (n,) of (x, y, z, vx, vy, vz) rows."""
     from .symmetry import first_integrals  # deferred: symmetry imports this module
 
-    n = len(ts)
+    n = len(states)
     integrals = np.empty((n, 4))
     speeds = np.empty(n)
     for i in range(n):
@@ -232,14 +234,7 @@ def _annotate(params: MetricParams, ts, states, exit_reason) -> Trajectory:
         st = GeodesicState(Point3(*pt), vel)
         integrals[i] = first_integrals(params, st)
         speeds[i] = state_speed(params, pt, vel)
-    return Trajectory(
-        params=params,
-        ts=np.asarray(ts, dtype=float),
-        states=np.asarray(states, dtype=float),
-        integrals=integrals,
-        speeds=speeds,
-        exit_reason=exit_reason,
-    )
+    return integrals, speeds
 
 
 def integrate_geodesic(
@@ -283,9 +278,18 @@ def integrate_geodesic(
     else:
         t_out = np.linspace(0.0, ts[-1], samples)
         y_out = _rk.hermite_sample(ts, ys, fs, t_out)
-    traj = _annotate(params, t_out, y_out, exit_reason)
-    traj._knots_t, traj._knots_y, traj._knots_f = ts, ys, fs
-    return traj
+    integrals, speeds = annotate_states(params, y_out)
+    return Trajectory(
+        params=params,
+        ts=np.asarray(t_out, dtype=float),
+        states=np.asarray(y_out, dtype=float),
+        integrals=integrals,
+        speeds=speeds,
+        exit_reason=exit_reason,
+        _knots_t=ts,
+        _knots_y=ys,
+        _knots_f=fs,
+    )
 
 
 def curvature_tensor(params: MetricParams, p, h: float = 1e-4) -> np.ndarray:

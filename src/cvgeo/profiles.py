@@ -180,6 +180,18 @@ def _quad(fn, a: float, b: float) -> float:
     return total
 
 
+def _unit_radicand(d2: float, fp2: float, u: float) -> float:
+    """Arc-length radicand d2 - fp2 at u, from d2 = (1 + m f^2)^2 and
+    fp2 = f'^2.  Raises ValueError where it is negative beyond rounding;
+    within rounding of zero (tan/tanh slices) it is 0.0, as its square root
+    would amplify the cancellation noise to ~1e-8."""
+    rad = d2 - fp2
+    scale = d2 + fp2
+    if rad < -1e-12 * scale:
+        raise ValueError(f"negative radicand at u = {u!r}: profile is not unit-compatible")
+    return 0.0 if rad < 1e-13 * scale else rad
+
+
 def unit_speed_profile(
     f, fp, fpp, m: float, u_domain, name: str = "unit", args: dict | None = None
 ) -> RevolutionProfile:
@@ -191,13 +203,7 @@ def unit_speed_profile(
 
     def gp(u: float) -> float:
         d = 1.0 + m * f(u) ** 2
-        rad = d * d - fp(u) ** 2
-        scale = d * d + fp(u) ** 2
-        if rad < -1e-12 * scale:
-            raise ValueError(f"profile is not unit-compatible at u = {u!r}")
-        if rad < 1e-13 * scale:
-            rad = 0.0
-        return math.sqrt(max(rad, 0.0)) / d
+        return math.sqrt(_unit_radicand(d * d, fp(u) ** 2, u)) / d
 
     lo = u_domain[0]
 
@@ -228,7 +234,9 @@ def random_profile(
     """
     m = params.m
     if m < 0.0:
-        cap = 0.8 / math.sqrt(-m)
+        # f' grows with a; uncapped as m -> 0-, f'^2 would pass (1 + m f^2)^2.
+        # With the cap, f' <= 0.58 while 1 + m f^2 >= 0.66.
+        cap = min(0.8 / math.sqrt(-m), 6.0)
         a = rng.uniform(0.35, 0.6) * cap
         b = rng.uniform(0.05, 0.2) * a
     else:

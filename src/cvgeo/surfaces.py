@@ -10,9 +10,10 @@ with a `RevolutionProfile` supplying f, g and derivatives.  The first
 fundamental form is the pullback of the ambient metric through the
 Jacobian of X; the second uses the metric unit normal and ambient
 covariant derivatives of the coordinate tangents.  Surface geodesics are
-integrated from the pullback metric itself (finite-difference u
-derivatives); the rotational momentum p_v = 2 G v' + 2 F u' it conserves
-is the independent check.
+integrated from the closed-form coefficients (E, F, G) of
+`reference_form_coefficients`, which depend on u only (finite-difference
+u derivatives); the rotational momentum p_v = 2 G v' + 2 F u' they
+conserve is the independent check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _rk
 from .connection import christoffel
-from .profiles import RevolutionProfile
+from .profiles import RevolutionProfile, _unit_radicand
 from .space import DomainError, MetricParams, coframe_values, metric_tensor, require_in_domain
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "frobenius_scalar",
     "surface_geodesic_integrate",
     "parallel_is_geodesic",
+    "parallel_geodesic_radii",
     "meridian_is_geodesic",
     "meridian_profile_ode_residual",
     "default_grid",
@@ -102,7 +104,8 @@ def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) 
 def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile, u: float):
     """Closed-form induced-metric coefficients (E, F, G).
 
-    Independent of the pullback route; used to cross-check it:
+    Independent of the pullback route, which they cross-check; they also
+    drive the surface-geodesic equations and their p_v/speed annotations:
         E = f'^2 / (1 + m f^2)^2 + g'^2
         F = -l f^2 g' / (2 (1 + m f^2))
         G = (4 f^2 + l^2 f^4) / (4 (1 + m f^2)^2)
@@ -250,60 +253,31 @@ def frobenius_scalar(params: MetricParams, p=None, h: float = 1e-6) -> float:
     return -d0 * d0 * coeff
 
 
-def _induced_metric(params: MetricParams, profile: RevolutionProfile, u: float, v: float):
-    """Pullback J^T g J in scalar arithmetic, skipping the profile height.
-
-    The ambient metric does not depend on z, so the induced metric can be
-    pulled back at height zero; this keeps quadrature-backed heights out
-    of the integration hot path.
-    """
-    l, m = params.l, params.m
-    fv, fpv, gpv = profile.f(u), profile.fp(u), profile.gp(u)
-    if m < 0.0 and fv * fv >= -1.0 / m:
-        raise DomainError(f"profile radius {fv!r} outside the m < 0 disk")
-    cv, sv = math.cos(v), math.sin(v)
-    x, y = fv * cv, fv * sv
-    d = 1.0 + m * fv * fv
-    q = 1.0 / (d * d)
-    al = 0.5 * l * y / d
-    be = -0.5 * l * x / d
-    # tangents X_u = (f' cos v, f' sin v, g'), X_v = (-f sin v, f cos v, 0)
-    xu = (fpv * cv, fpv * sv, gpv)
-    xv = (-fv * sv, fv * cv, 0.0)
-    wu = al * xu[0] + be * xu[1] + xu[2]
-    wv = al * xv[0] + be * xv[1] + xv[2]
-    e0 = q * (xu[0] * xu[0] + xu[1] * xu[1]) + wu * wu
-    f0 = q * (xu[0] * xv[0] + xu[1] * xv[1]) + wu * wv
-    g0 = q * (xv[0] * xv[0] + xv[1] * xv[1]) + wv * wv
-    return e0, f0, g0
-
-
 def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4, h: float = 1e-6):
-    u, v, du, dv = y4
+    u, _, du, dv = y4
     if not profile.contains(u):
         raise DomainError(f"u = {u!r} outside the profile domain")
-    e0, f0, g0 = _induced_metric(params, profile, u, v)
+    require_in_domain(params, (profile.f(u), 0.0, 0.0))  # the disk bounds the radius only
+    e0, f0, g0 = reference_form_coefficients(params, profile, u)
     lo, hi = profile.u_domain
     if u - h < lo or u + h > hi:
         # one-sided shift keeps the stencil inside the domain
         uc = min(max(u, lo + h), hi - h)
     else:
         uc = u
-    ep, fp_, gp_ = _induced_metric(params, profile, uc + h, v)
-    em, fm, gm = _induced_metric(params, profile, uc - h, v)
+    ep, fp_, gp_ = reference_form_coefficients(params, profile, uc + h)
+    em, fm, gm = reference_form_coefficients(params, profile, uc - h)
     de = (ep - em) / (2.0 * h)
     df = (fp_ - fm) / (2.0 * h)
     dg = (gp_ - gm) / (2.0 * h)
 
     det = e0 * g0 - f0 * f0
     # Lowered symbols [ab, c] = (d_a h_bc + d_b h_ac - d_c h_ab)/2 with the
-    # induced metric depending on u only:
+    # induced metric depending on u only ([uv, u] = [vv, v] = 0):
     l_uu_u = 0.5 * de
     l_uu_v = df
-    l_uv_u = 0.0
     l_uv_v = 0.5 * dg
     l_vv_u = -0.5 * dg
-    l_vv_v = 0.0
 
     # raise the first index with the inverse of [[e, f], [f, g]]
     h_uu = g0 / det
@@ -312,10 +286,10 @@ def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4, h: float 
 
     g_u_uu = h_uu * l_uu_u + h_uv * l_uu_v
     g_v_uu = h_uv * l_uu_u + h_vv * l_uu_v
-    g_u_uv = h_uu * l_uv_u + h_uv * l_uv_v
-    g_v_uv = h_uv * l_uv_u + h_vv * l_uv_v
-    g_u_vv = h_uu * l_vv_u + h_uv * l_vv_v
-    g_v_vv = h_uv * l_vv_u + h_vv * l_vv_v
+    g_u_uv = h_uv * l_uv_v
+    g_v_uv = h_vv * l_uv_v
+    g_u_vv = h_uu * l_vv_u
+    g_v_vv = h_uv * l_vv_u
 
     acc_u = -(g_u_uu * du * du + 2.0 * g_u_uv * du * dv + g_u_vv * dv * dv)
     acc_v = -(g_v_uu * du * du + 2.0 * g_v_uv * du * dv + g_v_vv * dv * dv)
@@ -378,8 +352,8 @@ def surface_geodesic_integrate(
     momenta = np.empty(n)
     speeds = np.empty(n)
     for i in range(n):
-        u, v, du, dv = y_out[i]
-        e0, f0, g0 = _induced_metric(params, profile, u, v)
+        u, _, du, dv = y_out[i]
+        e0, f0, g0 = reference_form_coefficients(params, profile, u)
         momenta[i] = 2.0 * g0 * dv + 2.0 * f0 * du
         speeds[i] = math.sqrt(max(e0 * du * du + 2.0 * f0 * du * dv + g0 * dv * dv, 0.0))
     return SurfaceTrajectory(
@@ -408,6 +382,34 @@ def parallel_is_geodesic(
     return abs(residual) < PARALLEL_TOL, residual
 
 
+def parallel_geodesic_radii(
+    params: MetricParams, profile: RevolutionProfile, n: int
+) -> list[float]:
+    """Parameters u0 of the geodesic parallels: the points of an n-point grid
+    that pass `parallel_is_geodesic`, and a root bisected 80 times in each
+    sign change of its residual between grid neighbours."""
+    lo, hi = profile.u_domain
+    roots = []
+    prev_u = prev_r = None
+    for u in np.linspace(lo, hi, n):
+        u = float(u)
+        ok, r = parallel_is_geodesic(params, profile, u)
+        if ok:
+            roots.append(u)
+        elif prev_r is not None and prev_r * r < 0.0:
+            a, b, ra = prev_u, u, prev_r
+            for _ in range(80):
+                c = 0.5 * (a + b)
+                _, rc = parallel_is_geodesic(params, profile, c)
+                if ra * rc <= 0.0:
+                    b = c
+                else:
+                    a, ra = c, rc
+            roots.append(0.5 * (a + b))
+        prev_u, prev_r = u, r
+    return roots
+
+
 def meridian_is_geodesic(
     params: MetricParams, profile: RevolutionProfile, n: int = 256
 ) -> tuple[bool, float]:
@@ -424,17 +426,7 @@ def meridian_is_geodesic(
     for i, u in enumerate(profile.grid(n)):
         fv, fpv = profile.f(u), profile.fp(u)
         d = 1.0 + m * fv * fv
-        rad = d * d - fpv * fpv
-        scale = d * d + fpv * fpv
-        if rad < -1e-12 * scale:
-            raise ValueError(
-                f"negative radicand at u = {u!r}: profile is not unit-compatible"
-            )
-        if rad < 1e-13 * scale:
-            # vanishing radicand up to rounding (tan/tanh slices): the
-            # square root would amplify cancellation noise to ~1e-8
-            rad = 0.0
-        vals[i] = l * fv * fv * math.sqrt(max(rad, 0.0)) / (d * d)
+        vals[i] = l * fv * fv * math.sqrt(_unit_radicand(d * d, fpv * fpv, u)) / (d * d)
     deviation = float(np.max(vals) - np.min(vals))
     return deviation < MERIDIAN_TOL, deviation
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,8 @@ def test_trajectory_monotone_times_and_sampling():
     params = MetricParams(0.7, 0.2)
     traj = integrate_geodesic(params, state(0, 0, 0, 1, 0, 0.5), 1.5)
     assert np.all(np.diff(traj.ts) > 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        traj.exit_reason = "complete"
     mid = traj.sample(0.7)
     assert mid.shape == (6,)
     cf = closed_form_geodesic(params, (1.0, 0.0, 0.5))

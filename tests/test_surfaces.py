@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from battery import nearest_radius_extremum
-from cvgeo.audits import random_params
+from cvgeo.audits import random_params, run_suite
 from cvgeo.connection import GeodesicState, integrate_geodesic
 from cvgeo.profiles import (
     cone,
@@ -16,7 +16,7 @@ from cvgeo.profiles import (
     unit_speed_profile,
     validate_profile,
 )
-from cvgeo.space import MetricParams, Point3, metric_dot, metric_norm
+from cvgeo.space import DomainError, MetricParams, Point3, metric_dot, metric_norm
 from cvgeo.surfaces import (
     SurfaceGeodesicState,
     default_grid,
@@ -25,6 +25,7 @@ from cvgeo.surfaces import (
     frobenius_scalar,
     meridian_is_geodesic,
     meridian_profile_ode_residual,
+    parallel_geodesic_radii,
     parallel_is_geodesic,
     reference_form_coefficients,
     second_fundamental_form,
@@ -223,6 +224,13 @@ def test_parallel_criterion_su2_special_radius():
     assert ok
 
 
+def test_parallel_geodesic_radii_product_equator():
+    # l = 0, m = 1 slice: the equator u = 1 is the only geodesic parallel
+    roots = parallel_geodesic_radii(MetricParams(0.0, 1.0), slice_profile(0.0, (0.2, 1.8)), 33)
+    assert len(roots) == 1
+    assert abs(roots[0] - 1.0) < 1e-9
+
+
 def test_meridian_criterion_product_always():
     rng = RNG(34)
     for m in (0.5, -0.5, 0.0):
@@ -369,6 +377,23 @@ def test_surface_geodesic_exits_domain_partially():
     traj = surface_geodesic_integrate(params, prof, SurfaceGeodesicState(0.0, 0.0, 1.0, 0.0), 5.0)
     assert not traj.complete
     assert traj.states[-1, 0] <= 1.0
+
+
+def test_surface_geodesic_rejects_radius_outside_disk():
+    # f(1.2) = 1.2 lies outside the m = -1 disk f^2 < 1
+    with pytest.raises(DomainError):
+        surface_geodesic_integrate(
+            MetricParams(0.5, -1.0), slice_profile(0.0, (0.2, 1.5)),
+            SurfaceGeodesicState(1.2, 0.0, 0.3, 0.5), 1.0,
+        )
+
+
+@pytest.mark.parametrize("seed", [182626098, 1754699702, 329634437])
+def test_surfaces_audit_small_negative_m(seed):
+    # these seeds draw m in (-0.0178, 0), where an uncapped random_profile
+    # baseline made the unit-speed radicand negative
+    records = run_suite("surfaces", seed, 12)
+    assert all(rec["status"] == "pass" for rec in records)
 
 
 def test_slice_surface_geodesics_match_ambient():
