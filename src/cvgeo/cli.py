@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 audit failure or closed/numeric mismatch,
 3 domain-exit partial result, 64 usage error, 65 invalid input.
+Float flags take finite numbers only and --grid a positive integer.
 The environment variable CVGEO_TOL overrides the default integrator
-tolerance (1e-10).  Output is deterministic for fixed flags and seed;
+tolerance (1e-10); it must be a finite positive float, else the run is
+a usage error.  Output is deterministic for fixed flags and seed;
 floats are printed in shortest round-trip form.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,8 +64,37 @@ def _fmt_plain(x: float) -> str:
     return s[:-2] if s.endswith(".0") else s
 
 
-def _tol() -> float:
-    return float(os.environ.get("CVGEO_TOL", str(DEFAULT_TOL)))
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r} is not finite")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r} is not positive")
+    return value
+
+
+def _env_tol() -> float:
+    """Integrator tolerance: CVGEO_TOL if set, else the default."""
+    text = os.environ.get("CVGEO_TOL")
+    if text is None:
+        return DEFAULT_TOL
+    tol = _finite_float(text)
+    if not tol > 0.0:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r} is not positive")
+    return tol
 
 
 def cmd_classify(args) -> int:
@@ -124,7 +156,7 @@ def cmd_geodesic(args) -> int:
             params,
             GeodesicState(base, v0),
             args.t_max,
-            tol=_tol(),
+            tol=args.tol,
             samples=args.samples,
         )
     except DomainError as exc:
@@ -209,7 +241,7 @@ def cmd_surface(args) -> int:
         if args.action == "geodesic":
             s0 = SurfaceGeodesicState(args.su, args.sv, args.sdu, args.sdv)
             traj = surface_geodesic_integrate(
-                params, profile, s0, args.t_max, tol=_tol(), samples=args.samples
+                params, profile, s0, args.t_max, tol=args.tol, samples=args.samples
             )
             print("t,u,v,du,dv,p_v,speed")
             for i, t in enumerate(traj.ts):
@@ -228,22 +260,22 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_cls = sub.add_parser("classify", help="name the geometry of (l, m)")
-    p_cls.add_argument("--l", type=float, required=True)
-    p_cls.add_argument("--m", type=float, required=True)
+    p_cls.add_argument("--l", type=_finite_float, required=True)
+    p_cls.add_argument("--m", type=_finite_float, required=True)
     p_cls.set_defaults(func=cmd_classify)
 
     p_geo = sub.add_parser("geodesic", help="trace a geodesic as CSV")
-    p_geo.add_argument("--l", type=float, required=True)
-    p_geo.add_argument("--m", type=float, required=True)
-    p_geo.add_argument("--u", type=float, required=True)
-    p_geo.add_argument("--v", type=float, required=True)
-    p_geo.add_argument("--w", type=float, required=True)
-    p_geo.add_argument("--t-max", type=float, default=1.0, dest="t_max")
+    p_geo.add_argument("--l", type=_finite_float, required=True)
+    p_geo.add_argument("--m", type=_finite_float, required=True)
+    p_geo.add_argument("--u", type=_finite_float, required=True)
+    p_geo.add_argument("--v", type=_finite_float, required=True)
+    p_geo.add_argument("--w", type=_finite_float, required=True)
+    p_geo.add_argument("--t-max", type=_finite_float, default=1.0, dest="t_max")
     p_geo.add_argument("--samples", type=int, default=101)
     p_geo.add_argument("--method", choices=("closed", "numeric", "both"), default="numeric")
-    p_geo.add_argument("--x0", type=float, default=0.0)
-    p_geo.add_argument("--y0", type=float, default=0.0)
-    p_geo.add_argument("--z0", type=float, default=0.0)
+    p_geo.add_argument("--x0", type=_finite_float, default=0.0)
+    p_geo.add_argument("--y0", type=_finite_float, default=0.0)
+    p_geo.add_argument("--z0", type=_finite_float, default=0.0)
     p_geo.set_defaults(func=cmd_geodesic)
 
     p_aud = sub.add_parser("audit", help="run a seeded invariant audit (JSON lines)")
@@ -253,23 +285,23 @@ def build_parser() -> _Parser:
     p_aud.set_defaults(func=cmd_audit)
 
     p_sur = sub.add_parser("surface", help="analyse a surface of revolution")
-    p_sur.add_argument("--l", type=float, required=True)
-    p_sur.add_argument("--m", type=float, required=True)
+    p_sur.add_argument("--l", type=_finite_float, required=True)
+    p_sur.add_argument("--m", type=_finite_float, required=True)
     p_sur.add_argument("--profile", choices=sorted(_PROFILE_BUILDERS), required=True)
     p_sur.add_argument("--action", choices=("forms", "parallels", "meridians", "geodesic"),
                        required=True)
-    p_sur.add_argument("--a", type=float, default=1.0, help="cylinder radius")
-    p_sur.add_argument("--k", type=float, default=0.5, help="cone slope")
-    p_sur.add_argument("--z0", type=float, default=0.0, help="slice height")
-    p_sur.add_argument("--c", type=float, default=0.3, help="tan/tanh profile shift")
-    p_sur.add_argument("--u-min", type=float, default=0.2, dest="u_min")
-    p_sur.add_argument("--u-max", type=float, default=1.0, dest="u_max")
-    p_sur.add_argument("--grid", type=int, default=64)
-    p_sur.add_argument("--su", type=float, default=0.5, help="surface geodesic u0")
-    p_sur.add_argument("--sv", type=float, default=0.0, help="surface geodesic v0")
-    p_sur.add_argument("--sdu", type=float, default=0.0, help="surface geodesic u'0")
-    p_sur.add_argument("--sdv", type=float, default=1.0, help="surface geodesic v'0")
-    p_sur.add_argument("--t-max", type=float, default=5.0, dest="t_max")
+    p_sur.add_argument("--a", type=_finite_float, default=1.0, help="cylinder radius")
+    p_sur.add_argument("--k", type=_finite_float, default=0.5, help="cone slope")
+    p_sur.add_argument("--z0", type=_finite_float, default=0.0, help="slice height")
+    p_sur.add_argument("--c", type=_finite_float, default=0.3, help="tan/tanh profile shift")
+    p_sur.add_argument("--u-min", type=_finite_float, default=0.2, dest="u_min")
+    p_sur.add_argument("--u-max", type=_finite_float, default=1.0, dest="u_max")
+    p_sur.add_argument("--grid", type=_positive_int, default=64)
+    p_sur.add_argument("--su", type=_finite_float, default=0.5, help="surface geodesic u0")
+    p_sur.add_argument("--sv", type=_finite_float, default=0.0, help="surface geodesic v0")
+    p_sur.add_argument("--sdu", type=_finite_float, default=0.0, help="surface geodesic u'0")
+    p_sur.add_argument("--sdv", type=_finite_float, default=1.0, help="surface geodesic v'0")
+    p_sur.add_argument("--t-max", type=_finite_float, default=5.0, dest="t_max")
     p_sur.add_argument("--samples", type=int, default=101)
     p_sur.set_defaults(func=cmd_surface)
     return parser
@@ -281,6 +313,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    try:
+        args.tol = _env_tol()
+    except argparse.ArgumentTypeError as exc:
+        print(f"{parser.prog}: error: CVGEO_TOL: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

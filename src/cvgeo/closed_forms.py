@@ -151,6 +151,8 @@ def eval_hyp_twisted(params: MetricParams, v0, t) -> np.ndarray:
     """Twisted geodesic for A^2 < 0 (forces m < 0)."""
 
     def radius_angle(a_sq, lw, t):
+        if not a_sq < 0.0:
+            raise ValueError(f"hyp-twisted case requires A^2 < 0, got {a_sq!r}")
         C = math.sqrt(-a_sq)
         th = np.tanh(0.5 * C * t)
         return 2.0 * th / np.sqrt(C * C + lw * lw * th * th), np.arctan(lw * th / C)

@@ -161,7 +161,8 @@ def tanh_profile(m: float, c: float = 0.5, u_domain=(0.1, 1.5)) -> RevolutionPro
     )
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Held as Python floats, so the profile callables run on float, not np.float64.
+_GL_RULE = list(zip(*(c.tolist() for c in np.polynomial.legendre.leggauss(24))))
 
 
 def _quad(fn, a: float, b: float) -> float:
@@ -169,14 +170,15 @@ def _quad(fn, a: float, b: float) -> float:
     if a == b:
         return 0.0
     n_panels = max(1, int(math.ceil(abs(b - a) / 1.5)))
-    edges = np.linspace(a, b, n_panels + 1)
+    edges = np.linspace(a, b, n_panels + 1).tolist()
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         mid = 0.5 * (lo + hi)
-        total += half * float(
-            sum(w * fn(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
-        )
+        panel = 0.0
+        for x, w in _GL_RULE:
+            panel += w * fn(mid + half * x)
+        total += half * panel
     return total
 
 

@@ -9,7 +9,10 @@ A surface of revolution is the image of
 with a `RevolutionProfile` supplying f, g and derivatives.  The first
 fundamental form is the pullback of the ambient metric through the
 Jacobian of X; the second uses the metric unit normal and ambient
-covariant derivatives of the coordinate tangents.  Surface geodesics are
+covariant derivatives of the coordinate tangents.  Each point is embedded
+once and its metric built once; the finite-difference stencils of the
+tangents need only the Jacobian, which needs no height g (for unit-speed
+profiles a quadrature of g').  Surface geodesics are
 integrated from the closed-form coefficients (E, F, G) of
 `reference_form_coefficients`, which depend on u only (finite-difference
 u derivatives); the rotational momentum p_v = 2 G v' + 2 F u' they
@@ -73,32 +76,45 @@ class SurfaceGeodesicState:
         return np.array([self.u, self.v, self.du, self.dv], dtype=float)
 
 
-def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient point and 3x2 Jacobian (columns X_u, X_v) at q = (u, v)."""
-    u, v = float(q[0]), float(q[1])
-    fv, fpv, gv, gpv = profile.f(u), profile.fp(u), profile.g(u), profile.gp(u)
+def _jacobian(profile: RevolutionProfile, u: float, v: float) -> np.ndarray:
+    """3x2 Jacobian (columns X_u, X_v) at (u, v), from f, f' and g' only."""
+    fv, fpv, gpv = profile.f(u), profile.fp(u), profile.gp(u)
     cv, sv = math.cos(v), math.sin(v)
-    point = np.array([fv * cv, fv * sv, gv])
-    jac = np.array(
+    return np.array(
         [
             [fpv * cv, -fv * sv],
             [fpv * sv, fv * cv],
             [gpv, 0.0],
         ]
     )
+
+
+def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient point and 3x2 Jacobian (columns X_u, X_v) at q = (u, v).
+
+    The one place the height g(u) is evaluated; the Jacobian needs none.
+    """
+    u, v = float(q[0]), float(q[1])
+    gv = profile.g(u)
+    jac = _jacobian(profile, u, v)
+    # (f cos v, f sin v) is X_v = (-f sin v, f cos v) turned back a quarter
+    point = np.array([jac[1, 1], -jac[0, 1], gv])
     return point, jac
 
 
-def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
-    """Pullback J^T g J of the ambient metric through the embedding."""
-    point, jac = embed(profile, q)
-    require_in_domain(params, point)
-    g = metric_tensor(params, point)
+def _pullback(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """J^T g J, rejecting a degenerate Jacobian."""
     form = jac.T @ g @ jac
     det = form[0, 0] * form[1, 1] - form[0, 1] * form[1, 0]
     if det <= 0.0:
         raise ValueError("degenerate surface Jacobian")
     return form
+
+
+def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
+    """Pullback J^T g J of the ambient metric through the embedding."""
+    point, jac = embed(profile, q)
+    return _pullback(jac, metric_tensor(params, point))
 
 
 def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile, u: float):
@@ -119,10 +135,10 @@ def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile
     return e, fcoef, gcoef
 
 
-def _unit_normal(params: MetricParams, point, jac) -> np.ndarray:
-    """Metric unit normal, oriented by the sign of its omega^3 value
-    (falling back to omega^1 then omega^2 where earlier ones vanish)."""
-    g = metric_tensor(params, point)
+def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
+    """Metric unit normal for the metric g at point, oriented by the sign
+    of its omega^3 value (falling back to omega^1 then omega^2 where
+    earlier ones vanish)."""
     r1 = g @ jac[:, 0]
     r2 = g @ jac[:, 1]
     n = np.cross(r1, r2)
@@ -146,23 +162,20 @@ def second_fundamental_form(
 
     B_ab = g(nabla_{X_a} X_b, xi) with ambient Christoffels and central
     finite differences of the analytic tangent vectors for the coordinate
-    second derivatives.
+    second derivatives.  The point is embedded once (one height
+    evaluation) and its metric built once, for the first form and the
+    normal alike; the four stencil Jacobians need no height.
     """
     u, v = float(q[0]), float(q[1])
-    point, jac = embed(profile, q)
-    require_in_domain(params, point)
-    first = first_fundamental_form(params, profile, q)
-    xi = _unit_normal(params, point, jac)
+    point, jac = embed(profile, (u, v))
     g = metric_tensor(params, point)
+    first = _pullback(jac, g)
+    xi = _unit_normal(params, g, point, jac)
     gxi = g @ xi
     gam = christoffel(params, point)
 
-    _, jac_up = embed(profile, (u + h, v))
-    _, jac_um = embed(profile, (u - h, v))
-    _, jac_vp = embed(profile, (u, v + h))
-    _, jac_vm = embed(profile, (u, v - h))
-    d_u = (jac_up - jac_um) / (2.0 * h)  # columns: X_uu, X_vu
-    d_v = (jac_vp - jac_vm) / (2.0 * h)  # columns: X_uv, X_vv
+    d_u = (_jacobian(profile, u + h, v) - _jacobian(profile, u - h, v)) / (2.0 * h)  # X_uu, X_vu
+    d_v = (_jacobian(profile, u, v + h) - _jacobian(profile, u, v - h)) / (2.0 * h)  # X_uv, X_vv
     second_derivs = {
         (0, 0): d_u[:, 0],
         (0, 1): d_v[:, 0],

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cvgeo.cli import main
 
@@ -242,6 +243,31 @@ def test_surface_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--l", "nan", "--m", "0"),
+        ("geodesic", "--l", "1", "--m", "1", "--u", "1", "--v", "0", "--w", "inf"),
+        ("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms", "--grid", "0"),
+    ],
+    ids=["classify-l-nan", "geodesic-w-inf", "surface-grid-0"],
+)
+def test_out_of_range_flag_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "error: argument" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("tol, reason", [("abc", ""), ("-1", " is not positive")])
+def test_bad_tol_env_is_usage_error(capsys, monkeypatch, tol, reason):
+    monkeypatch.setenv("CVGEO_TOL", tol)
+    code, out, err = run_cli(
+        capsys, "geodesic", "--l", "1", "--m", "1", "--u", "1", "--v", "0", "--w", "1",
+    )
+    assert code == 64 and out == ""
+    assert err.splitlines() == [f"cvgeo: error: CVGEO_TOL: invalid float value: {tol!r}{reason}"]
 
 
 def test_tol_env_override(capsys, monkeypatch):

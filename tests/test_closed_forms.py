@@ -9,6 +9,7 @@ from cvgeo.closed_forms import (
     closed_form_geodesic,
     dispatch_case,
     eval_heisenberg,
+    eval_hyp_twisted,
     eval_parabolic_twisted,
     eval_planar_radial,
     eval_product_vertical,
@@ -168,11 +169,19 @@ def test_hyp_converges_to_parabolic():
     m = (-1e-8 - l * l * w * w) / 4.0
     params = MetricParams(l, m)
     t = np.linspace(0.0, 2.0, 21)
-    from cvgeo.closed_forms import eval_hyp_twisted
-
     hyp = eval_hyp_twisted(params, (u, 0.0, w), t)
     para = eval_parabolic_twisted(params, (u, 0.0, w), t)
     assert np.max(np.abs(hyp - para)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "params, v0",
+    [(MetricParams(0.0, 1.0), (0.0, 0.0, 0.2)), (MetricParams(1.0, 1.0), (1.0, 0.0, 1.0))],
+)
+def test_hyp_rejects_nonnegative_discriminant(params, v0):
+    # A^2 = 0 would divide 0/0 into NaN positions; A^2 > 0 is the trig family
+    with pytest.raises(ValueError, match="A\\^2 < 0"):
+        eval_hyp_twisted(params, v0, np.linspace(0.0, 1.0, 5))
 
 
 def test_heisenberg_printed_horizontal_circle():

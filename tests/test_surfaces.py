@@ -1,9 +1,12 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from battery import nearest_radius_extremum
+import cvgeo.surfaces
 from cvgeo.audits import random_params, run_suite
 from cvgeo.connection import GeodesicState, integrate_geodesic
 from cvgeo.profiles import (
@@ -131,6 +134,34 @@ def test_second_form_symmetric():
         v = float(rng.uniform(0, 2 * math.pi))
         forms = second_fundamental_form(params, prof, (u, v))
         assert forms.second_asymmetry < 1e-8
+
+
+def test_second_form_embeds_and_builds_metric_once(monkeypatch):
+    params = MetricParams(0.8, 0.3)
+    prof = random_profile(params, RNG(11))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    prof = dataclasses.replace(prof, g=counted("g", prof.g))
+    monkeypatch.setattr(cvgeo.surfaces, "metric_tensor", counted("metric_tensor", cvgeo.surfaces.metric_tensor))
+    second_fundamental_form(params, prof, (0.3, 1.1))
+    assert calls == {"g": 1, "metric_tensor": 1}
+
+
+def test_second_form_keeps_height_unit_compatibility_check():
+    # f' = 1 - u: the radicand 1 - f'^2 is negative on [lo, 0) only, so g'
+    # is fine at u = 1 and its stencil while the height quadrature is not
+    prof = unit_speed_profile(
+        lambda u: 2.0 + u - 0.5 * u * u, lambda u: 1.0 - u, lambda u: -1.0, 0.0, (-1.0, 1.5)
+    )
+    assert prof.gp(1.0) == 1.0
+    with pytest.raises(ValueError, match="not unit-compatible"):
+        second_fundamental_form(MetricParams(1.0, 0.0), prof, (1.0, 0.0))
 
 
 def test_product_slice_is_totally_geodesic():
@@ -276,6 +307,26 @@ def test_unit_speed_profile_rejects_steep_radius():
             lambda u: 3.0 * u, lambda u: 3.0, lambda u: 0.0, 0.0, (0.2, 1.0)
         )
         prof.gp(0.5)
+
+
+def test_height_quadrature_matches_float64_reference():
+    # the rule runs on Python floats: the same IEEE operations, in the same
+    # order, as the composite rule on np.float64 nodes, weights and edges
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+
+    def reference(fn, a, b):
+        edges = np.linspace(a, b, max(1, math.ceil(abs(b - a) / 1.5)) + 1)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+            total += half * float(sum(w * fn(mid + half * x) for x, w in zip(nodes, weights)))
+        return total
+
+    params = MetricParams(0.7, 0.4)
+    prof = random_profile(params, RNG(3))
+    lo, hi = prof.u_domain
+    for u in np.linspace(lo + 0.1, hi, 7):
+        assert prof.g(float(u)) == reference(prof.gp, lo, float(u))
 
 
 def test_meridian_ode_residual_solutions():
