@@ -16,7 +16,6 @@ from .connection import (
     GeodesicState,
     Trajectory,
     christoffel,
-    geodesic_rhs,
     integrate_geodesic,
     sectional_curvature,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "GeodesicState",
     "Trajectory",
     "christoffel",
-    "geodesic_rhs",
     "integrate_geodesic",
     "sectional_curvature",
     "containment_surfaces",

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = ["StepSizeUnderflow", "IntegrationError", "rk45", "hermite_sample"]
 
 # Fehlberg tableau
-_C = (0.0, 0.25, 3.0 / 8.0, 12.0 / 13.0, 1.0, 0.5)
 _A = (
     (),
     (0.25,),
@@ -41,6 +40,12 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+# Step budget of one integration; a module constant, so tests can lower it.
+MAX_STEPS = 500_000
+# Guard rejections (failed guard or guard_error stage) allowed in one run.
+GUARD_BUDGET = 256
+
+
 class StepSizeUnderflow(RuntimeError):
     """The controller drove the step below the resolvable size."""
 
@@ -49,18 +54,7 @@ class IntegrationError(RuntimeError):
     """The step budget was exhausted before reaching t_max."""
 
 
-def rk45(
-    rhs,
-    y0,
-    t_max: float,
-    tol: float,
-    *,
-    guard=None,
-    guard_error=(),
-    h0: float | None = None,
-    h_max: float | None = None,
-    max_steps: int = 500_000,
-):
+def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
     """Integrate y' = rhs(y) from t=0 to t_max with local error <= tol.
 
     guard(y) -> bool marks states that are still acceptable; a step landing
@@ -77,16 +71,19 @@ def rk45(
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     y = np.asarray(y0, dtype=float).copy()
-    if guard is not None and not guard(y):
+    if not guard(y):
         raise ValueError("initial state rejected by the domain guard")
     t = 0.0
     f = np.asarray(rhs(y), dtype=float)
     ts = [0.0]
     ys = [y.copy()]
     fs = [f.copy()]
-    if h_max is None:
-        h_max = max(t_max / 8.0, 1e-8)
-    h = min(h_0_default(t_max) if h0 is None else h0, h_max, t_max)
+
+    def result(exit_reason):
+        return np.array(ts), np.array(ys), np.array(fs), exit_reason
+
+    h_max = max(t_max / 8.0, 1e-8)
+    h = min(1e-2, t_max / 100.0, h_max)
 
     n_stages = 6
     k = [f] + [None] * (n_stages - 1)
@@ -96,19 +93,17 @@ def rk45(
     # paths that merely graze the boundary recover full step sizes.  A hard
     # budget of rejections ends runs whose state advances only at float
     # resolution against the obstruction (boundary-asymptotic geodesics).
-    guard_hits = 0
-    any_guard_hit = False
-    guard_budget = 256
-    for _ in range(max_steps):
+    guard_hit = False
+    guard_budget = GUARD_BUDGET
+    for _ in range(MAX_STEPS):
         if t >= t_max - 1e-14 * max(1.0, t_max):
-            return np.array(ts), np.array(ys), np.array(fs), "complete"
+            return result("complete")
         h = min(h, t_max - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            if any_guard_hit:
-                return np.array(ts), np.array(ys), np.array(fs), "domain-exit"
+            if guard_budget < GUARD_BUDGET:
+                return result("domain-exit")
             raise StepSizeUnderflow(f"step size underflow at t = {t!r}")
 
-        bad_stage = False
         try:
             for i in range(1, n_stages):
                 yi = y.copy()
@@ -117,34 +112,36 @@ def rk45(
                     yi += (h * ai[j]) * k[j]
                 k[i] = np.asarray(rhs(yi), dtype=float)
         except guard_error:
-            bad_stage = True
+            # a stage left the domain: a guard rejection that shrinks h
+            guard_hit = True
+            guard_budget -= 1
+            if guard_budget <= 0:
+                return result("domain-exit")
+            h *= 0.25
+            continue
 
-        if not bad_stage:
-            y_new = y.copy()
-            err = np.zeros_like(y)
-            for i in range(n_stages):
-                if _B5[i] != 0.0:
-                    y_new += (h * _B5[i]) * k[i]
-                if _E[i] != 0.0:
-                    err += (h * _E[i]) * k[i]
-            sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
-        else:
-            err_norm = np.inf
+        y_new = y.copy()
+        err = np.zeros_like(y)
+        for i in range(n_stages):
+            if _B5[i] != 0.0:
+                y_new += (h * _B5[i]) * k[i]
+            if _E[i] != 0.0:
+                err += (h * _E[i]) * k[i]
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
 
         if err_norm <= 1.0:
-            rejected = guard is not None and not guard(y_new)
+            rejected = not guard(y_new)
             if not rejected:
                 try:
                     f_new = np.asarray(rhs(y_new), dtype=float)
                 except guard_error:
                     rejected = True
             if rejected:
-                guard_hits += 1
-                any_guard_hit = True
+                guard_hit = True
                 guard_budget -= 1
                 if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
-                    return np.array(ts), np.array(ys), np.array(fs), "domain-exit"
+                    return result("domain-exit")
                 h *= 0.5
                 continue
             t += h
@@ -154,10 +151,10 @@ def rk45(
             ts.append(t)
             ys.append(y.copy())
             fs.append(f.copy())
-            if guard_hits:
+            if guard_hit:
                 # accepted while skirting the guard: hold h steady and
                 # lift the suppression only after a clean acceptance
-                guard_hits = 0
+                guard_hit = False
                 h = min(h, h_max)
                 continue
             if err_norm == 0.0:
@@ -165,26 +162,11 @@ def rk45(
             else:
                 factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2))
             h = min(h * factor, h_max)
+        elif not np.isfinite(err_norm):
+            h *= 0.25
         else:
-            if bad_stage:
-                guard_hits += 1
-                any_guard_hit = True
-                guard_budget -= 1
-                if guard_budget <= 0:
-                    return np.array(ts), np.array(ys), np.array(fs), "domain-exit"
-            if not np.isfinite(err_norm):
-                h *= 0.25
-            else:
-                h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
-                if any_guard_hit:
-                    return np.array(ts), np.array(ys), np.array(fs), "domain-exit"
-                raise StepSizeUnderflow(f"step size underflow at t = {t!r}")
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
     raise IntegrationError(f"step budget exhausted at t = {t!r} < t_max = {t_max!r}")
-
-
-def h_0_default(t_max: float) -> float:
-    return min(1e-2, t_max / 100.0)
 
 
 def hermite_sample(ts, ys, fs, t_query) -> np.ndarray:

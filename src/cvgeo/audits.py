@@ -38,15 +38,14 @@ def random_params(rng: np.random.Generator) -> MetricParams:
     return MetricParams(float(l), float(m))
 
 
-def random_point(params: MetricParams, rng: np.random.Generator,
-                 rho_max: float = RHO_MAX, z_max: float = Z_MAX) -> Point3:
+def random_point(params: MetricParams, rng: np.random.Generator) -> Point3:
     """Uniform-in-disk point, capped inside the m < 0 boundary."""
-    cap = rho_max
+    cap = RHO_MAX
     if params.m < 0.0:
         cap = min(cap, 0.7 / math.sqrt(-params.m))
     r = cap * math.sqrt(rng.uniform())
     th = rng.uniform(0.0, 2.0 * math.pi)
-    return Point3(r * math.cos(th), r * math.sin(th), rng.uniform(-z_max, z_max))
+    return Point3(r * math.cos(th), r * math.sin(th), rng.uniform(-Z_MAX, Z_MAX))
 
 
 def _record(check: str, residual: float, tolerance: float, params: dict) -> dict:

@@ -1,12 +1,18 @@
 """Command-line surface: classify | geodesic | audit | surface.
 
-Exit codes: 0 success, 1 audit failure or closed/numeric mismatch,
-3 domain-exit partial result, 64 usage error, 65 invalid input.
-Float flags take finite numbers only and --grid a positive integer.
-The environment variable CVGEO_TOL overrides the default integrator
-tolerance (1e-10); it must be a finite positive float, else the run is
-a usage error.  Output is deterministic for fixed flags and seed;
-floats are printed in shortest round-trip form.
+Exit codes: 0 success, 1 audit failure, closed/numeric mismatch or a
+closed output pipe, 3 domain-exit partial result, 64 usage error,
+65 invalid input.  Float flags take finite numbers only and --grid an
+integer in [1, 1000000]; --samples and --count must not exceed 1000000
+and --seed must not be negative (else 65).  Inputs that the library
+rejects are invalid (65): values outside a profile or the m < 0 disk,
+a profile domain without u-min < u-max, values whose evaluation
+overflows, and integrations whose step underflows or that exhaust their
+step budget; each prints one line to stderr.  The environment variable
+CVGEO_TOL overrides the default integrator tolerance (1e-10); it must be
+a finite positive float, else the run is a usage error.  Output is
+deterministic for fixed flags and seed; floats are printed in shortest
+round-trip form.
 """
 
 from __future__ import annotations
@@ -19,15 +25,12 @@ import sys
 
 import numpy as np
 
+from ._rk import IntegrationError, StepSizeUnderflow
 from .audits import SUITES, run_suite
-from .closed_forms import (
-    BranchDomainError,
-    closed_form_geodesic,
-    numeric_velocity,
-)
+from .closed_forms import closed_form_geodesic, numeric_velocity
 from .connection import DEFAULT_TOL, GeodesicState, annotate_states, integrate_geodesic
 from .profiles import cone, cylinder, slice_profile, tan_profile, tanh_profile, validate_profile
-from .space import DomainError, MetricParams, Point3, SpaceClass, classify
+from .space import MetricParams, Point3, SpaceClass, classify
 from .surfaces import (
     SurfaceGeodesicState,
     default_grid,
@@ -42,6 +45,9 @@ EXIT_FAIL = 1
 EXIT_PARTIAL = 3
 EXIT_USAGE = 64
 EXIT_INVALID = 65
+
+# Upper bound of --samples, --count and --grid.
+MAX_COUNT = 1_000_000
 
 TRACE_HEADER = "t,x,y,z,vx,vy,vz,I1,I2,I3,I4,speed"
 
@@ -76,13 +82,15 @@ def _finite_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+    """argparse type: an integer in [1, MAX_COUNT]."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r} is not positive")
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r} exceeds {MAX_COUNT}")
     return value
 
 
@@ -116,74 +124,47 @@ def _print_trace(ts, states, integrals, speeds) -> None:
 def cmd_geodesic(args) -> int:
     v0 = np.array([args.u, args.v, args.w], dtype=float)
     if not np.any(v0):
-        print("geodesic: initial velocity must be nonzero", file=sys.stderr)
-        return EXIT_INVALID
-    if args.t_max <= 0.0 or args.samples < 2:
-        print("geodesic: need t-max > 0 and samples >= 2", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("initial velocity must be nonzero")
+    if args.t_max <= 0.0 or not 2 <= args.samples <= MAX_COUNT:
+        raise ValueError(f"need t-max > 0 and 2 <= samples <= {MAX_COUNT}")
     params = MetricParams(args.l, args.m)
-    base = Point3(args.x0, args.y0, args.z0)
-    from_origin = args.x0 == 0.0 and args.y0 == 0.0 and args.z0 == 0.0
-    if args.method in ("closed", "both") and not from_origin:
-        print(
-            "geodesic: closed forms are defined from the origin only; "
-            "use --method numeric for other base points",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
-
-    exit_code = EXIT_OK
     closed = None
     if args.method in ("closed", "both"):
-        try:
-            closed = closed_form_geodesic(params, tuple(v0))
-        except ValueError as exc:
-            print(f"geodesic: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        if (args.x0, args.y0, args.z0) != (0.0, 0.0, 0.0):
+            raise ValueError(
+                "closed forms are defined from the origin only; "
+                "use --method numeric for other base points"
+            )
+        closed = closed_form_geodesic(params, tuple(v0))
 
     if args.method == "closed":
         ts = np.linspace(0.0, args.t_max, args.samples)
-        try:
-            states = np.hstack([closed.position(ts), numeric_velocity(closed.position, ts)])
-        except BranchDomainError as exc:
-            print(f"geodesic: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        states = np.hstack([closed.position(ts), numeric_velocity(closed.position, ts)])
         _print_trace(ts, states, *annotate_states(params, states))
         return EXIT_OK
 
-    try:
-        traj = integrate_geodesic(
-            params,
-            GeodesicState(base, v0),
-            args.t_max,
-            tol=args.tol,
-            samples=args.samples,
-        )
-    except DomainError as exc:
-        print(f"geodesic: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if not traj.complete:
-        exit_code = EXIT_PARTIAL
-
+    traj = integrate_geodesic(
+        params,
+        GeodesicState(Point3(args.x0, args.y0, args.z0), v0),
+        args.t_max,
+        tol=args.tol,
+        samples=args.samples,
+    )
     _print_trace(traj.ts, traj.states, traj.integrals, traj.speeds)
 
     if args.method == "both":
-        try:
-            pos_closed = closed.position(traj.ts)
-        except BranchDomainError as exc:
-            print(f"geodesic: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        disc = float(np.max(np.abs(pos_closed - traj.positions())))
+        disc = float(np.max(np.abs(closed.position(traj.ts) - traj.positions())))
         print(f"max closed-vs-numeric discrepancy: {_fmt(disc)}", file=sys.stderr)
         if disc > 1e-5:
             return EXIT_FAIL
-    return exit_code
+    return EXIT_OK if traj.complete else EXIT_PARTIAL
 
 
 def cmd_audit(args) -> int:
-    if args.count < 1:
-        print("audit: count must be at least 1", file=sys.stderr)
-        return EXIT_INVALID
+    if not 1 <= args.count <= MAX_COUNT:
+        raise ValueError(f"count must be in [1, {MAX_COUNT}]")
+    if args.seed < 0:
+        raise ValueError("seed must not be negative")
     records = run_suite(args.suite, args.seed, args.count)
     ok = True
     for rec in records:
@@ -201,58 +182,46 @@ _PROFILE_BUILDERS = {
 }
 
 
-def _build_profile(args, params):
-    builder = _PROFILE_BUILDERS[args.profile]
-    return builder(args, params.m)
-
-
 def cmd_surface(args) -> int:
     params = MetricParams(args.l, args.m)
-    try:
-        profile = _build_profile(args, params)
-        validate_profile(params, profile)
-    except ValueError as exc:
-        print(f"surface: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    profile = _PROFILE_BUILDERS[args.profile](args, params.m)
+    validate_profile(params, profile)
 
-    try:
-        if args.action == "forms":
-            print("u,v,E,F,G,B_uu,B_uv,B_vv")
-            for (u, v) in default_grid(profile, nu=args.grid, nv=8):
-                forms = second_fundamental_form(params, profile, (u, v))
-                e, f = forms.first[0, 0], forms.first[0, 1]
-                g = forms.first[1, 1]
-                b = forms.second
-                vals = [u, v, e, f, g, b[0, 0], b[0, 1], b[1, 1]]
-                print(",".join(_fmt(x) for x in vals))
-            return EXIT_OK
+    if args.action == "forms":
+        print("u,v,E,F,G,B_uu,B_uv,B_vv")
+        for (u, v) in default_grid(profile, nu=args.grid, nv=8):
+            forms = second_fundamental_form(params, profile, (u, v))
+            e, f = forms.first[0, 0], forms.first[0, 1]
+            g = forms.first[1, 1]
+            b = forms.second
+            vals = [u, v, e, f, g, b[0, 0], b[0, 1], b[1, 1]]
+            print(",".join(_fmt(x) for x in vals))
+        return EXIT_OK
 
-        if args.action == "parallels":
-            print("u0")
-            for r in parallel_geodesic_radii(params, profile, args.grid):
-                print(_fmt(r))
-            return EXIT_OK
+    if args.action == "parallels":
+        print("u0")
+        for r in parallel_geodesic_radii(params, profile, args.grid):
+            print(_fmt(r))
+        return EXIT_OK
 
-        if args.action == "meridians":
-            ok, dev = meridian_is_geodesic(params, profile)
-            print(json.dumps({"geodesic": ok, "max_deviation": dev}))
-            return EXIT_OK
+    if args.action == "meridians":
+        ok, dev = meridian_is_geodesic(params, profile)
+        print(json.dumps({"geodesic": ok, "max_deviation": dev}))
+        return EXIT_OK
 
-        if args.action == "geodesic":
-            s0 = SurfaceGeodesicState(args.su, args.sv, args.sdu, args.sdv)
-            traj = surface_geodesic_integrate(
-                params, profile, s0, args.t_max, tol=args.tol, samples=args.samples
-            )
-            print("t,u,v,du,dv,p_v,speed")
-            for i, t in enumerate(traj.ts):
-                u, v, du, dv = traj.states[i]
-                vals = [t, u, v, du, dv, traj.momenta[i], traj.speeds[i]]
-                print(",".join(_fmt(x) for x in vals))
-            return EXIT_OK if traj.complete else EXIT_PARTIAL
-    except (DomainError, ValueError) as exc:
-        print(f"surface: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    raise AssertionError(f"unhandled action {args.action!r}")
+    # the geodesic action
+    if not 1 <= args.samples <= MAX_COUNT:
+        raise ValueError(f"need 1 <= samples <= {MAX_COUNT}")
+    s0 = SurfaceGeodesicState(args.su, args.sv, args.sdu, args.sdv)
+    traj = surface_geodesic_integrate(
+        params, profile, s0, args.t_max, tol=args.tol, samples=args.samples
+    )
+    print("t,u,v,du,dv,p_v,speed")
+    for i, t in enumerate(traj.ts):
+        u, v, du, dv = traj.states[i]
+        vals = [t, u, v, du, dv, traj.momenta[i], traj.speeds[i]]
+        print(",".join(_fmt(x) for x in vals))
+    return EXIT_OK if traj.complete else EXIT_PARTIAL
 
 
 def build_parser() -> _Parser:
@@ -318,7 +287,23 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"{parser.prog}: error: CVGEO_TOL: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        # overflow raises here, so that a huge input is reported, not warned about
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: send the rest of the buffered output nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    except ArithmeticError as exc:  # FloatingPointError, OverflowError
+        print(f"{args.command}: input out of range: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (ValueError, StepSizeUnderflow, IntegrationError) as exc:
+        # ValueError: invalid input, DomainError and BranchDomainError included
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    return code
 
 
 if __name__ == "__main__":

@@ -276,7 +276,8 @@ def closed_form_geodesic(params: MetricParams, v0) -> ClosedFormGeodesic:
     return ClosedFormGeodesic(params=params, v0=(u, v, w), case=case)
 
 
-def numeric_velocity(position_fn, t, h: float = 1e-6) -> np.ndarray:
-    """Central-difference velocity of a closed-form position map."""
+def numeric_velocity(position_fn, t) -> np.ndarray:
+    """Central-difference velocity (step 1e-6) of a closed-form position map."""
     t = np.asarray(t, dtype=float)
+    h = 1e-6
     return (position_fn(t + h) - position_fn(t - h)) / (2.0 * h)

@@ -3,8 +3,8 @@
 Christoffel symbols are assembled from closed-form partial derivatives of
 the metric components (rational functions of x and y; the metric does not
 depend on z) through the Koszul formula, with the exact inverse metric from
-the orthonormal frame.  A finite-difference Koszul oracle is provided for
-validation.
+the orthonormal frame.  The finite-difference Koszul oracle that validates
+them lives with the tests (`tests/oracles.py`).
 
 The geodesic integrator is the adaptive embedded Runge-Kutta 4(5) stepper
 from `_rk`, default tolerance 1e-10, with cubic Hermite dense output.  It
@@ -34,8 +34,6 @@ __all__ = [
     "GeodesicState",
     "Trajectory",
     "christoffel",
-    "christoffel_fd",
-    "geodesic_rhs",
     "integrate_geodesic",
     "curvature_tensor",
     "sectional_curvature",
@@ -132,23 +130,6 @@ def christoffel(params: MetricParams, p) -> np.ndarray:
     return np.array(_gamma_entries(params.l, params.m, x, y))
 
 
-def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
-    """Finite-difference Koszul oracle for `christoffel`.
-
-    Metric partials by central differences of `metric_tensor` (step h) and
-    the inverse by linear solve; independent of the analytic partials.
-    """
-    x, y, z = _xyz(p)
-    dg = np.zeros((3, 3, 3))
-    for a, (dx, dy, dz) in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        gp = metric_tensor(params, (x + h * dx, y + h * dy, z + h * dz))
-        gm = metric_tensor(params, (x - h * dx, y - h * dy, z - h * dz))
-        dg[a] = (gp - gm) / (2.0 * h)
-    ginv = np.linalg.inv(metric_tensor(params, p))
-    brack = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, brack)
-
-
 def _rhs_entries(l: float, m: float, y6) -> np.ndarray:
     x, yy = y6[0], y6[1]
     vx, vy, vz = y6[3], y6[4], y6[5]
@@ -163,12 +144,6 @@ def _rhs_entries(l: float, m: float, y6) -> np.ndarray:
             + 2.0 * (gk[0][1] * vx * vy + gk[0][2] * vx * vz + gk[1][2] * vy * vz)
         )
     return np.array([vx, vy, vz, acc[0], acc[1], acc[2]])
-
-
-def geodesic_rhs(params: MetricParams, state: GeodesicState) -> np.ndarray:
-    """(dx, dy, dz, -Gamma^k_ij v^i v^j) for the geodesic equation."""
-    require_in_domain(params, state.point)
-    return _rhs_entries(params.l, params.m, state.as_array())
 
 
 def state_speed(params: MetricParams, point, velocity) -> float:
@@ -292,18 +267,19 @@ def integrate_geodesic(
     )
 
 
-def curvature_tensor(params: MetricParams, p, h: float = 1e-4) -> np.ndarray:
+def curvature_tensor(params: MetricParams, p) -> np.ndarray:
     """Coordinate curvature R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l).
 
     Built from analytic Christoffels with fourth-order central differences
-    of the symbols (the symbols do not depend on z, so the z derivative is
-    zero).  The five-point stencil keeps the symmetry defects below 1e-10
-    even close to the m < 0 disk boundary, where a plain central stencil
-    at step 1e-5 drifts to ~1e-8.
+    of the symbols at step 1e-4 (the symbols do not depend on z, so the z
+    derivative is zero).  The five-point stencil keeps the symmetry defects
+    below 1e-10 even close to the m < 0 disk boundary, where a plain
+    central stencil at step 1e-5 drifts to ~1e-8.
     """
     require_in_domain(params, p)
     x, y, z = _xyz(p)
     gam = christoffel(params, p)
+    h = 1e-4
 
     def d4(chris_at):
         return (

@@ -66,9 +66,13 @@ class RevolutionProfile:
         return np.linspace(lo, hi, n)
 
 
-def validate_profile(params: MetricParams, profile: RevolutionProfile, n: int = 64) -> None:
-    """Check f > 0 on the domain and, for m < 0, f^2 < -1/m."""
-    for u in profile.grid(n):
+def validate_profile(params: MetricParams, profile: RevolutionProfile) -> None:
+    """Check u_min < u_max, and f > 0 and, for m < 0, f^2 < -1/m on a
+    64-point grid of the domain."""
+    lo, hi = profile.u_domain
+    if not lo < hi:
+        raise ValueError(f"profile domain needs u_min < u_max; got [{lo!r}, {hi!r}]")
+    for u in profile.grid(64):
         u = float(u)
         fv = float(profile.f(u))
         if not fv > 0.0:

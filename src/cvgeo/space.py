@@ -35,11 +35,8 @@ __all__ = [
     "in_domain",
     "require_in_domain",
     "metric_tensor",
-    "metric_inverse",
     "frame",
     "coframe_values",
-    "metric_dot",
-    "metric_norm",
 ]
 
 # Relative tolerance for the constant-curvature branch test 4m = l^2.
@@ -172,27 +169,6 @@ def metric_tensor(params: MetricParams, p) -> np.ndarray:
     )
 
 
-def metric_inverse(params: MetricParams, p) -> np.ndarray:
-    """Inverse metric g^ij, assembled from the orthonormal frame.
-
-    For an orthonormal frame E_i the inverse metric is sum_i E_i E_i^T,
-    which here is available in closed form.
-    """
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
-    l = params.l
-    D = 1.0 + params.m * (x * x + y * y)
-    a = -0.5 * D * l * y
-    b = 0.5 * D * l * x
-    return np.array(
-        [
-            [D * D, 0.0, a],
-            [0.0, D * D, b],
-            [a, b, 1.0 + 0.25 * l * l * (x * x + y * y)],
-        ]
-    )
-
-
 def frame(params: MetricParams, p) -> Frame:
     """Orthonormal frame dual to the coframe (dx/D, dy/D, omega^3).
 
@@ -216,14 +192,3 @@ def coframe_values(params: MetricParams, p, v) -> np.ndarray:
     vx, vy, vz = (float(c) for c in v)
     D, al, be = _metric_scalars(params, x, y)
     return np.array([vx / D, vy / D, al * vx + be * vy + vz])
-
-
-def metric_dot(params: MetricParams, p, u, v) -> float:
-    """g_p(u, v) for coordinate vectors u, v."""
-    g = metric_tensor(params, p)
-    return float(np.asarray(u) @ g @ np.asarray(v))
-
-
-def metric_norm(params: MetricParams, p, v) -> float:
-    """Metric length of a coordinate vector."""
-    return math.sqrt(max(metric_dot(params, p, v, v), 0.0))

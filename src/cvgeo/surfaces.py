@@ -46,7 +46,6 @@ __all__ = [
     "parallel_is_geodesic",
     "parallel_geodesic_radii",
     "meridian_is_geodesic",
-    "meridian_profile_ode_residual",
     "default_grid",
 ]
 
@@ -155,14 +154,12 @@ def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
     return n
 
 
-def second_fundamental_form(
-    params: MetricParams, profile: RevolutionProfile, q, h: float = 1e-6
-) -> FundamentalForms:
+def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> FundamentalForms:
     """Second fundamental form against the oriented metric unit normal.
 
     B_ab = g(nabla_{X_a} X_b, xi) with ambient Christoffels and central
-    finite differences of the analytic tangent vectors for the coordinate
-    second derivatives.  The point is embedded once (one height
+    finite differences (step 1e-6) of the analytic tangent vectors for the
+    coordinate second derivatives.  The point is embedded once (one height
     evaluation) and its metric built once, for the first form and the
     normal alike; the four stencil Jacobians need no height.
     """
@@ -174,6 +171,7 @@ def second_fundamental_form(
     gxi = g @ xi
     gam = christoffel(params, point)
 
+    h = 1e-6
     d_u = (_jacobian(profile, u + h, v) - _jacobian(profile, u - h, v)) / (2.0 * h)  # X_uu, X_vu
     d_v = (_jacobian(profile, u, v + h) - _jacobian(profile, u, v - h)) / (2.0 * h)  # X_uv, X_vv
     second_derivs = {
@@ -192,10 +190,10 @@ def second_fundamental_form(
     return FundamentalForms(first=first, second=b_sym, normal=xi, second_asymmetry=asym)
 
 
-def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8, margin: float = 0.02):
-    """(u, v) sample pairs covering the profile domain."""
+def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8):
+    """(u, v) sample pairs covering the profile domain, less 2% at each end."""
     lo, hi = profile.u_domain
-    pad = margin * (hi - lo)
+    pad = 0.02 * (hi - lo)
     us = np.linspace(lo + pad, hi - pad, nu)
     vs = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)
     return [(u, v) for u in us for v in vs]
@@ -226,12 +224,12 @@ def umbilic_defect(params: MetricParams, profile: RevolutionProfile, sample_grid
     return worst
 
 
-def frobenius_scalar(params: MetricParams, p=None, h: float = 1e-6) -> float:
+def frobenius_scalar(params: MetricParams, p=None) -> float:
     """Integrability obstruction of the distribution orthogonal to E3.
 
     Computes the 3-form omega ^ d(omega) for the vertical coframe element
-    omega = omega^3 by finite-difference exterior derivative, and
-    normalises against the metric volume form (oriented so the twist
+    omega = omega^3 by finite-difference exterior derivative (step 1e-6),
+    and normalises against the metric volume form (oriented so the twist
     parameter comes out with its sign): the result equals l, at every
     point, and vanishes exactly when the distribution is integrable.
     """
@@ -249,6 +247,7 @@ def frobenius_scalar(params: MetricParams, p=None, h: float = 1e-6) -> float:
         d = 1.0 + params.m * (q[0] * q[0] + q[1] * q[1])
         return np.array([0.5 * params.l * q[1] / d, -0.5 * params.l * q[0] / d, 1.0])
 
+    h = 1e-6
     dw = np.zeros((3, 3))
     base = (x, y, z)
     for a in range(3):
@@ -266,8 +265,9 @@ def frobenius_scalar(params: MetricParams, p=None, h: float = 1e-6) -> float:
     return -d0 * d0 * coeff
 
 
-def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4, h: float = 1e-6):
+def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4):
     u, _, du, dv = y4
+    h = 1e-6
     if not profile.contains(u):
         raise DomainError(f"u = {u!r} outside the profile domain")
     require_in_domain(params, (profile.f(u), 0.0, 0.0))  # the disk bounds the radius only
@@ -423,42 +423,20 @@ def parallel_geodesic_radii(
     return roots
 
 
-def meridian_is_geodesic(
-    params: MetricParams, profile: RevolutionProfile, n: int = 256
-) -> tuple[bool, float]:
+def meridian_is_geodesic(params: MetricParams, profile: RevolutionProfile) -> tuple[bool, float]:
     """Whether the meridians v = const are surface geodesics.
 
     The quantity l f^2 sqrt((1 + m f^2)^2 - f'^2) / (1 + m f^2)^2 (the
     rotational momentum of a unit-speed meridian) must be constant in u;
-    returns (verdict, max - min over an n-point grid).  Requires the
+    returns (verdict, max - min over a 256-point grid).  Requires the
     profile to satisfy the arc-length normalisation, i.e. a nonnegative
     radicand.
     """
     l, m = params.l, params.m
-    vals = np.empty(n)
-    for i, u in enumerate(profile.grid(n)):
+    vals = np.empty(256)
+    for i, u in enumerate(profile.grid(256)):
         fv, fpv = profile.f(u), profile.fp(u)
         d = 1.0 + m * fv * fv
         vals[i] = l * fv * fv * math.sqrt(_unit_radicand(d * d, fpv * fpv, u)) / (d * d)
     deviation = float(np.max(vals) - np.min(vals))
     return deviation < MERIDIAN_TOL, deviation
-
-
-def meridian_profile_ode_residual(params: MetricParams, profile: RevolutionProfile, u: float) -> float:
-    """Residual of the radius equation characterising meridian-geodesic
-    profiles (beyond cylinders and the tan/tanh/linear solutions):
-
-    2 f' + 4 m f^2 f' + 2 m^2 f^4 f' - 2 f'^3 + 2 m f^2 f'^3
-        - f f' f'' - m f^3 f' f''.
-    """
-    m = params.m
-    fv, fpv, fppv = profile.f(u), profile.fp(u), profile.fpp(u)
-    return (
-        2.0 * fpv
-        + 4.0 * m * fv * fv * fpv
-        + 2.0 * m * m * fv ** 4 * fpv
-        - 2.0 * fpv ** 3
-        + 2.0 * m * fv * fv * fpv ** 3
-        - fv * fpv * fppv
-        - m * fv ** 3 * fpv * fppv
-    )

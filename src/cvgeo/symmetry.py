@@ -60,14 +60,15 @@ def killing_eval(params: MetricParams, which: str, p) -> np.ndarray:
     raise ValueError(f"unknown Killing field {which!r}; expected one of {KILLING_NAMES}")
 
 
-def field_killing_defect(params: MetricParams, field, p, h: float = 1e-6) -> float:
+def field_killing_defect(params: MetricParams, field, p) -> float:
     """Max-norm of nabla_i K_j + nabla_j K_i for an arbitrary field.
 
     The field's metric-lowered components are differentiated by central
-    differences (step h); the connection term uses analytic Christoffels.
+    differences (step 1e-6); the connection term uses analytic Christoffels.
     Zero (to discretisation error) exactly for Killing fields.
     """
     x, y, z = _xyz(p)
+    h = 1e-6
 
     def lowered(q):
         return metric_tensor(params, q) @ np.asarray(field(q), dtype=float)
@@ -83,9 +84,9 @@ def field_killing_defect(params: MetricParams, field, p, h: float = 1e-6) -> flo
     return float(np.max(np.abs(nabla + nabla.T)))
 
 
-def killing_defect(params: MetricParams, which: str, p, h: float = 1e-6) -> float:
+def killing_defect(params: MetricParams, which: str, p) -> float:
     """Killing-equation defect of the named basis field at p."""
-    return field_killing_defect(params, lambda q: killing_eval(params, which, q), p, h=h)
+    return field_killing_defect(params, lambda q: killing_eval(params, which, q), p)
 
 
 def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
@@ -135,7 +136,6 @@ def containment_surfaces(
     v0,
     t_span: float = 2.0,
     n_profile: int = 65,
-    tol: float = 1e-10,
 ) -> ContainmentSurfaces:
     """Containment surfaces for the origin geodesic with velocity v0 = (u, v, w)."""
     u, v, w = (float(c) for c in v0)
@@ -150,7 +150,6 @@ def containment_surfaces(
         params,
         GeodesicState(Point3(0.0, 0.0, 0.0), np.array([u, v, w])),
         t_span,
-        tol=tol,
         samples=n_profile,
     )
     pos = traj.positions()

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvgeo
+from cvgeo import _rk
 from cvgeo.cli import main
 
 
@@ -278,3 +284,84 @@ def test_tol_env_override(capsys, monkeypatch):
     )
     assert code == 0
     monkeypatch.delenv("CVGEO_TOL")
+
+
+# ---------------------------------------------------- integrator failures
+
+GEODESIC = ("geodesic", "--l", "1", "--m", "1", "--v", "0", "--w", "1")
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [("1e200", "geodesic: input out of range: overflow"), ("1e10", "geodesic: step size underflow")],
+    ids=["overflow", "underflow"],
+)
+def test_geodesic_integrator_failure_is_invalid_input(capsys, u, message):
+    code, out, err = run_cli(capsys, *GEODESIC, "--u", u)
+    assert code == 65 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+
+
+def test_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 20)
+    code, out, err = run_cli(capsys, *GEODESIC, "--u", "1", "--t-max", "1e9")
+    assert code == 65 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("geodesic: step budget exhausted")
+
+
+def test_surface_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 20)
+    code, out, err = run_cli(
+        capsys, "surface", "--l", "1", "--m", "0.5", "--profile", "cylinder",
+        "--u-min", "-8", "--u-max", "8", "--action", "geodesic", "--t-max", "1e9",
+    )
+    assert code == 65 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("surface: step budget exhausted")
+
+
+# ------------------------------------------------------------ input ranges
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*GEODESIC, "--u", "1", "--samples", "100000000000"), "samples <= 1000000"),
+        (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "geodesic",
+          "--samples", "100000000000"), "samples <= 1000000"),
+        (("audit", "--suite", "killing", "--count", "100000000000"), "count must be in [1, 1000000]"),
+        (("audit", "--suite", "killing", "--seed", "-1"), "seed must not be negative"),
+        (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms",
+          "--u-min", "1", "--u-max", "0.2", "--grid", "2"), "u_min < u_max"),
+    ],
+    ids=["geodesic-samples", "surface-samples", "audit-count", "audit-seed", "surface-u-order"],
+)
+def test_out_of_range_input_is_invalid(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 65 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_grid_above_bound_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms",
+        "--grid", "1000001",
+    )
+    assert code == 64 and out == ""
+    assert "exceeds 1000000" in err
+
+
+# ------------------------------------------------------------- broken pipe
+
+def test_closed_pipe_exits_1_without_traceback():
+    src = Path(cvgeo.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cvgeo.cli", "audit", "--suite", "frobenius", "--count", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert json.loads(first)["check"] == "frobenius-scalar"
+    assert "Traceback" not in err and "Error" not in err

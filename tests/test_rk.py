@@ -1,0 +1,79 @@
+"""Each exit of the `rk45` stepper, on one-dimensional problems."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cvgeo import _rk
+from cvgeo._rk import IntegrationError, StepSizeUnderflow, rk45
+
+
+class OutOfDomain(ValueError):
+    pass
+
+
+def always(y):
+    return True
+
+
+def test_complete_decay():
+    ts, ys, fs, reason = rk45(lambda y: -y, [1.0], 1.0, 1e-10, guard=always, guard_error=())
+    assert reason == "complete"
+    assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0, abs=1e-13)
+    assert np.all(np.diff(ts) > 0.0)
+    assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
+    assert np.array_equal(fs, -ys)
+
+
+def test_domain_exit_from_guard():
+    ts, ys, _, reason = rk45(
+        lambda y: np.array([1.0]), [0.0], 1.0, 1e-10, guard=lambda y: y[0] < 0.5, guard_error=()
+    )
+    assert reason == "domain-exit"
+    assert np.all(ys[:, 0] < 0.5)
+    assert ts[-1] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_domain_exit_from_guard_error_in_a_stage():
+    def rhs(y):
+        if y[0] >= 0.5:
+            raise OutOfDomain(f"y = {y[0]!r}")
+        return np.array([1.0])
+
+    ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain)
+    assert reason == "domain-exit"
+    assert np.all(ys[:, 0] < 0.5)
+    assert ts[-1] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_guard_error_of_another_type_propagates():
+    def rhs(y):
+        if y[0] >= 0.5:
+            raise OutOfDomain("out")
+        return np.array([1.0])
+
+    with pytest.raises(OutOfDomain):
+        rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=())
+
+
+def test_step_size_underflow_at_blow_up():
+    # y' = y^2, y(0) = 1 blows up at t = 1, before t_max
+    with pytest.raises(StepSizeUnderflow, match="step size underflow"):
+        rk45(lambda y: y * y, [1.0], 2.0, 1e-6, guard=always, guard_error=())
+
+
+def test_step_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 20)
+    with pytest.raises(IntegrationError, match="step budget exhausted"):
+        rk45(np.cos, [0.0], 100.0, 1e-10, guard=always, guard_error=())
+
+
+def test_initial_state_rejected():
+    with pytest.raises(ValueError, match="initial state"):
+        rk45(lambda y: -y, [1.0], 1.0, 1e-10, guard=lambda y: False, guard_error=())
+
+
+def test_guard_is_required():
+    with pytest.raises(TypeError):
+        rk45(lambda y: -y, [1.0], 1.0, 1e-10)

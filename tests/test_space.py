@@ -13,7 +13,6 @@ from cvgeo.space import (
     coframe_values,
     conformal_factor,
     frame,
-    metric_inverse,
     metric_tensor,
 )
 
@@ -104,15 +103,6 @@ def test_metric_positive_definite_and_symmetric():
         g = metric_tensor(params, p)
         assert np.array_equal(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0)
-
-
-def test_metric_inverse_matches():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        params = random_params(rng)
-        p = random_point(params, rng)
-        prod = metric_tensor(params, p) @ metric_inverse(params, p)
-        assert np.max(np.abs(prod - np.eye(3))) < 1e-12
 
 
 def test_frame_at_origin_and_substitution():
