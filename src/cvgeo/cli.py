@@ -7,12 +7,13 @@ integer in [1, 1000000]; --samples and --count must not exceed 1000000
 and --seed must not be negative (else 65).  Inputs that the library
 rejects are invalid (65): values outside a profile or the m < 0 disk,
 a profile domain without u-min < u-max, values whose evaluation
-overflows, and integrations whose step underflows or that exhaust their
-step budget; each prints one line to stderr.  The environment variable
-CVGEO_TOL overrides the default integrator tolerance (1e-10); it must be
-a finite positive float, else the run is a usage error.  Output is
-deterministic for fixed flags and seed; floats are printed in shortest
-round-trip form.
+overflows or whose output is not finite, closed-form velocities at times
+too large for their difference step, and integrations whose step
+underflows or that exhaust their step budget; each prints one line to
+stderr.  The environment variable CVGEO_TOL overrides the default
+integrator tolerance (1e-10); it must be a finite positive float, else
+the run is a usage error.  Output is deterministic for fixed flags and
+seed; floats are printed in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -115,10 +116,14 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _print_trace(ts, states, integrals, speeds) -> None:
-    print(TRACE_HEADER)
-    for t, s, ints, spd in zip(ts, states, integrals, speeds):
-        print(",".join(_fmt(v) for v in (t, *s, *ints, spd)))
+def _print_rows(header: str, rows) -> None:
+    """CSV header and rows; a value that is not finite is an input out of range."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.isfinite(rows).all():
+        raise FloatingPointError("the output has a value that is not finite")
+    print(header)
+    for row in rows.tolist():
+        print(",".join(_fmt(v) for v in row))
 
 
 def cmd_geodesic(args) -> int:
@@ -140,7 +145,7 @@ def cmd_geodesic(args) -> int:
     if args.method == "closed":
         ts = np.linspace(0.0, args.t_max, args.samples)
         states = np.hstack([closed.position(ts), numeric_velocity(closed.position, ts)])
-        _print_trace(ts, states, *annotate_states(params, states))
+        _print_rows(TRACE_HEADER, np.column_stack([ts, states, *annotate_states(params, states)]))
         return EXIT_OK
 
     traj = integrate_geodesic(
@@ -150,7 +155,7 @@ def cmd_geodesic(args) -> int:
         tol=args.tol,
         samples=args.samples,
     )
-    _print_trace(traj.ts, traj.states, traj.integrals, traj.speeds)
+    _print_rows(TRACE_HEADER, np.column_stack([traj.ts, traj.states, traj.integrals, traj.speeds]))
 
     if args.method == "both":
         disc = float(np.max(np.abs(closed.position(traj.ts) - traj.positions())))
@@ -188,14 +193,12 @@ def cmd_surface(args) -> int:
     validate_profile(params, profile)
 
     if args.action == "forms":
-        print("u,v,E,F,G,B_uu,B_uv,B_vv")
+        rows = []
         for (u, v) in default_grid(profile, nu=args.grid, nv=8):
             forms = second_fundamental_form(params, profile, (u, v))
-            e, f = forms.first[0, 0], forms.first[0, 1]
-            g = forms.first[1, 1]
-            b = forms.second
-            vals = [u, v, e, f, g, b[0, 0], b[0, 1], b[1, 1]]
-            print(",".join(_fmt(x) for x in vals))
+            a, b = forms.first, forms.second
+            rows.append([u, v, a[0, 0], a[0, 1], a[1, 1], b[0, 0], b[0, 1], b[1, 1]])
+        _print_rows("u,v,E,F,G,B_uu,B_uv,B_vv", rows)
         return EXIT_OK
 
     if args.action == "parallels":
@@ -206,7 +209,7 @@ def cmd_surface(args) -> int:
 
     if args.action == "meridians":
         ok, dev = meridian_is_geodesic(params, profile)
-        print(json.dumps({"geodesic": ok, "max_deviation": dev}))
+        print(json.dumps({"geodesic": ok, "max_deviation": dev}, allow_nan=False))
         return EXIT_OK
 
     # the geodesic action
@@ -216,11 +219,8 @@ def cmd_surface(args) -> int:
     traj = surface_geodesic_integrate(
         params, profile, s0, args.t_max, tol=args.tol, samples=args.samples
     )
-    print("t,u,v,du,dv,p_v,speed")
-    for i, t in enumerate(traj.ts):
-        u, v, du, dv = traj.states[i]
-        vals = [t, u, v, du, dv, traj.momenta[i], traj.speeds[i]]
-        print(",".join(_fmt(x) for x in vals))
+    _print_rows("t,u,v,du,dv,p_v,speed",
+                np.column_stack([traj.ts, traj.states, traj.momenta, traj.speeds]))
     return EXIT_OK if traj.complete else EXIT_PARTIAL
 
 

@@ -277,7 +277,14 @@ def closed_form_geodesic(params: MetricParams, v0) -> ClosedFormGeodesic:
 
 
 def numeric_velocity(position_fn, t) -> np.ndarray:
-    """Central-difference velocity (step 1e-6) of a closed-form position map."""
+    """Central-difference velocity of a closed-form position map, at t +- 1e-6
+    divided by the representable step (t + 1e-6) - (t - 1e-6).  Raises
+    ValueError where that step is 0 (t too large for the difference)."""
     t = np.asarray(t, dtype=float)
     h = 1e-6
-    return (position_fn(t + h) - position_fn(t - h)) / (2.0 * h)
+    t_plus, t_minus = t + h, t - h
+    step = t_plus - t_minus
+    if not np.all(step > 0.0):
+        t_max = float(np.max(np.abs(t)))
+        raise ValueError(f"|t| up to {t_max!r} is too large for a central-difference velocity")
+    return (position_fn(t_plus) - position_fn(t_minus)) / step[..., None]

@@ -3,8 +3,10 @@
 Christoffel symbols are assembled from closed-form partial derivatives of
 the metric components (rational functions of x and y; the metric does not
 depend on z) through the Koszul formula, with the exact inverse metric from
-the orthonormal frame.  The finite-difference Koszul oracle that validates
-them lives with the tests (`tests/oracles.py`).
+the orthonormal frame.  The curvature tensor is the closed form of the
+E(kappa, tau) spaces.  The finite-difference oracles that validate both
+(Koszul symbols from the metric, curvature from the symbols) live with
+the tests (`tests/oracles.py`).
 
 The geodesic integrator is the adaptive embedded Runge-Kutta 4(5) stepper
 from `_rk`, default tolerance 1e-10, with cubic Hermite dense output.  It
@@ -270,34 +272,19 @@ def integrate_geodesic(
 def curvature_tensor(params: MetricParams, p) -> np.ndarray:
     """Coordinate curvature R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l).
 
-    Built from analytic Christoffels with fourth-order central differences
-    of the symbols at step 1e-4 (the symbols do not depend on z, so the z
-    derivative is zero).  The five-point stencil keeps the symmetry defects
-    below 1e-10 even close to the m < 0 disk boundary, where a plain
-    central stencil at step 1e-5 drifts to ~1e-8.
+    Closed form of the E(kappa, tau) spaces with kappa = 4m and tau = l/2
+    (B. Daniel, Comment. Math. Helv. 82, 2007): the Kulkarni-Nomizu product
+    g (.) S with S = (2m - 3 l^2/8) g - (4m - l^2) eta (x) eta, where
+    eta = g[2] is omega^3 lowered.  Hence K(E1, E2) = 4m - 3 l^2/4 and
+    K(E1, E3) = K(E2, E3) = l^2/4.  The tests check it against a
+    finite-difference curvature of the analytic Christoffel symbols.
     """
-    require_in_domain(params, p)
-    x, y, z = _xyz(p)
-    gam = christoffel(params, p)
-    h = 1e-4
-
-    def d4(chris_at):
-        return (
-            -chris_at(2.0 * h) + 8.0 * chris_at(h) - 8.0 * chris_at(-h) + chris_at(-2.0 * h)
-        ) / (12.0 * h)
-
-    dgam = np.zeros((3, 3, 3, 3))
-    dgam[0] = d4(lambda s: christoffel(params, (x + s, y, z)))
-    dgam[1] = d4(lambda s: christoffel(params, (x, y + s, z)))
-    # R^l_{.ijk}: coefficient of d_l in R(d_i, d_j) d_k
-    rup = (
-        np.einsum("iljk->lijk", dgam)
-        - np.einsum("jlik->lijk", dgam)
-        + np.einsum("lim,mjk->lijk", gam, gam)
-        - np.einsum("ljm,mik->lijk", gam, gam)
-    )
     g = metric_tensor(params, p)
-    return np.einsum("ls,sijk->ijkl", g, rup)
+    l, m = params.l, params.m
+    eta = g[2]
+    s = (2.0 * m - 0.375 * l * l) * g - (4.0 * m - l * l) * np.outer(eta, eta)
+    gs = np.einsum("il,jk->ijkl", g, s) + np.einsum("il,jk->ijkl", s, g)
+    return gs - gs.transpose(0, 1, 3, 2)
 
 
 def sectional_curvature(params: MetricParams, p, u, v) -> float:

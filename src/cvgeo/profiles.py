@@ -1,7 +1,7 @@
 """Generating profiles (f, g) of rotational surfaces about the z axis.
 
 A profile provides smooth callables for the radius f > 0 and the height g
-together with the derivatives the surface criteria need (f', f'', g').
+together with the derivatives f', f'', g' and g''.
 Built-ins:
 
     cylinder(a)          f = a,        g = u
@@ -53,6 +53,7 @@ class RevolutionProfile:
     fpp: Callable[[float], float]
     g: Callable[[float], float]
     gp: Callable[[float], float]
+    gpp: Callable[[float], float]
     u_domain: tuple[float, float]
     name: str = "profile"
     args: dict = field(default_factory=dict)
@@ -92,6 +93,7 @@ def cylinder(a: float, u_domain=(-2.0, 2.0)) -> RevolutionProfile:
         fpp=lambda u: 0.0,
         g=lambda u: u,
         gp=lambda u: 1.0,
+        gpp=lambda u: 0.0,
         u_domain=tuple(u_domain),
         name="cylinder",
         args={"a": a},
@@ -105,6 +107,7 @@ def cone(k: float, u_domain=(0.2, 2.0)) -> RevolutionProfile:
         fpp=lambda u: 0.0,
         g=lambda u: k * u,
         gp=lambda u: k,
+        gpp=lambda u: 0.0,
         u_domain=tuple(u_domain),
         name="cone",
         args={"k": k},
@@ -119,6 +122,7 @@ def slice_profile(z0: float = 0.0, u_domain=(0.2, 2.0)) -> RevolutionProfile:
         fpp=lambda u: 0.0,
         g=lambda u: z0,
         gp=lambda u: 0.0,
+        gpp=lambda u: 0.0,
         u_domain=tuple(u_domain),
         name="slice",
         args={"z0": z0},
@@ -139,6 +143,7 @@ def tan_profile(m: float, c: float = 0.0, u_domain=(0.1, 1.0)) -> RevolutionProf
         fpp=lambda u: 2.0 * sm * math.tan(sm * u + c) / math.cos(sm * u + c) ** 2,
         g=lambda u: 0.0,
         gp=lambda u: 0.0,
+        gpp=lambda u: 0.0,
         u_domain=tuple(u_domain),
         name="tan",
         args={"m": m, "c": c},
@@ -159,6 +164,7 @@ def tanh_profile(m: float, c: float = 0.5, u_domain=(0.1, 1.5)) -> RevolutionPro
         fpp=lambda u: -2.0 * sm * math.tanh(sm * u + c) / math.cosh(sm * u + c) ** 2,
         g=lambda u: 0.0,
         gp=lambda u: 0.0,
+        gpp=lambda u: 0.0,
         u_domain=tuple(u_domain),
         name="tanh",
         args={"m": m, "c": c},
@@ -203,13 +209,25 @@ def unit_speed_profile(
 ) -> RevolutionProfile:
     """Profile with the height derived from the arc-length normalisation.
 
-    g' = sqrt((1 + m f^2)^2 - f'^2) / (1 + m f^2) >= 0, g(u_lo) = 0; the
-    radicand must stay nonnegative on the domain.
+    g' = sqrt(R) / d >= 0 with d = 1 + m f^2 and R = d^2 - f'^2, g(u_lo) = 0,
+    and g'' = (d d' - f' f'') / (sqrt(R) d) - sqrt(R) d' / d^2 with
+    d' = 2 m f f'; the radicand R must stay nonnegative on the domain, and
+    g'' raises ValueError where R vanishes, as it is singular there.
     """
 
     def gp(u: float) -> float:
         d = 1.0 + m * f(u) ** 2
         return math.sqrt(_unit_radicand(d * d, fp(u) ** 2, u)) / d
+
+    def gpp(u: float) -> float:
+        fv, fpv = f(u), fp(u)
+        d = 1.0 + m * fv * fv
+        rad = _unit_radicand(d * d, fpv * fpv, u)
+        if rad == 0.0:
+            raise ValueError(f"g'' is singular at u = {u!r}: f'^2 = (1 + m f^2)^2 there")
+        sr = math.sqrt(rad)
+        dp = 2.0 * m * fv * fpv
+        return (d * dp - fpv * fpp(u)) / (sr * d) - sr * dp / (d * d)
 
     lo = u_domain[0]
 
@@ -222,6 +240,7 @@ def unit_speed_profile(
         fpp=fpp,
         g=g,
         gp=gp,
+        gpp=gpp,
         u_domain=tuple(u_domain),
         name=name,
         args=dict(args or {}),

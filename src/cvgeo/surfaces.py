@@ -9,14 +9,13 @@ A surface of revolution is the image of
 with a `RevolutionProfile` supplying f, g and derivatives.  The first
 fundamental form is the pullback of the ambient metric through the
 Jacobian of X; the second uses the metric unit normal and ambient
-covariant derivatives of the coordinate tangents.  Each point is embedded
-once and its metric built once; the finite-difference stencils of the
-tangents need only the Jacobian, which needs no height g (for unit-speed
-profiles a quadrature of g').  Surface geodesics are
-integrated from the closed-form coefficients (E, F, G) of
-`reference_form_coefficients`, which depend on u only (finite-difference
-u derivatives); the rotational momentum p_v = 2 G v' + 2 F u' they
-conserve is the independent check.
+covariant derivatives of the coordinate tangents, with the exact second
+derivatives of X in f, f', f'' and g', g''.  Each point is embedded once
+(one evaluation of the height g, for unit-speed profiles a quadrature of
+g') and its metric built once.  Surface geodesics are integrated from the
+closed-form coefficients (E, F, G) of `reference_form_coefficients`,
+which depend on u only, and their exact u derivatives; the rotational
+momentum p_v = 2 G v' + 2 F u' they conserve is the independent check.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class FundamentalForms:
     first: np.ndarray
     second: np.ndarray
     normal: np.ndarray
-    second_asymmetry: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -75,29 +73,21 @@ class SurfaceGeodesicState:
         return np.array([self.u, self.v, self.du, self.dv], dtype=float)
 
 
-def _jacobian(profile: RevolutionProfile, u: float, v: float) -> np.ndarray:
-    """3x2 Jacobian (columns X_u, X_v) at (u, v), from f, f' and g' only."""
+def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient point and 3x2 Jacobian (columns X_u, X_v) at q = (u, v);
+    the one place the height g(u) is evaluated."""
+    u, v = float(q[0]), float(q[1])
+    gv = profile.g(u)
     fv, fpv, gpv = profile.f(u), profile.fp(u), profile.gp(u)
     cv, sv = math.cos(v), math.sin(v)
-    return np.array(
+    point = np.array([fv * cv, fv * sv, gv])
+    jac = np.array(
         [
             [fpv * cv, -fv * sv],
             [fpv * sv, fv * cv],
             [gpv, 0.0],
         ]
     )
-
-
-def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient point and 3x2 Jacobian (columns X_u, X_v) at q = (u, v).
-
-    The one place the height g(u) is evaluated; the Jacobian needs none.
-    """
-    u, v = float(q[0]), float(q[1])
-    gv = profile.g(u)
-    jac = _jacobian(profile, u, v)
-    # (f cos v, f sin v) is X_v = (-f sin v, f cos v) turned back a quarter
-    point = np.array([jac[1, 1], -jac[0, 1], gv])
     return point, jac
 
 
@@ -157,11 +147,12 @@ def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
 def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> FundamentalForms:
     """Second fundamental form against the oriented metric unit normal.
 
-    B_ab = g(nabla_{X_a} X_b, xi) with ambient Christoffels and central
-    finite differences (step 1e-6) of the analytic tangent vectors for the
-    coordinate second derivatives.  The point is embedded once (one height
-    evaluation) and its metric built once, for the first form and the
-    normal alike; the four stencil Jacobians need no height.
+    B_ab = g(nabla_{X_a} X_b, xi) with ambient Christoffels and the exact
+    second derivatives X_uu = (f'' cos v, f'' sin v, g''),
+    X_uv = (-f' sin v, f' cos v, 0) and X_vv = (-f cos v, -f sin v, 0); B_uv
+    is computed once, so B is symmetric.  The point is embedded once (one
+    height evaluation) and its metric built once, for the first form and
+    the normal alike.
     """
     u, v = float(q[0]), float(q[1])
     point, jac = embed(profile, (u, v))
@@ -171,23 +162,18 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
     gxi = g @ xi
     gam = christoffel(params, point)
 
-    h = 1e-6
-    d_u = (_jacobian(profile, u + h, v) - _jacobian(profile, u - h, v)) / (2.0 * h)  # X_uu, X_vu
-    d_v = (_jacobian(profile, u, v + h) - _jacobian(profile, u, v - h)) / (2.0 * h)  # X_uv, X_vv
-    second_derivs = {
-        (0, 0): d_u[:, 0],
-        (0, 1): d_v[:, 0],
-        (1, 0): d_u[:, 1],
-        (1, 1): d_v[:, 1],
-    }
+    fppv = profile.fpp(u)
+    x_uu = np.array([fppv * math.cos(v), fppv * math.sin(v), profile.gpp(u)])
+    # X_u and X hold f' (cos v, sin v) and f (cos v, sin v)
+    x_uv = np.array([-jac[1, 0], jac[0, 0], 0.0])
+    x_vv = np.array([-point[0], -point[1], 0.0])
 
-    b = np.empty((2, 2))
-    for (a, c), dd in second_derivs.items():
-        cov = dd + np.einsum("kij,i,j->k", gam, jac[:, a], jac[:, c])
-        b[a, c] = float(cov @ gxi)
-    asym = abs(b[0, 1] - b[1, 0])
-    b_sym = 0.5 * (b + b.T)
-    return FundamentalForms(first=first, second=b_sym, normal=xi, second_asymmetry=asym)
+    def b(dd, a, c):
+        return float((dd + np.einsum("kij,i,j->k", gam, jac[:, a], jac[:, c])) @ gxi)
+
+    b_uv = b(x_uv, 0, 1)
+    second = np.array([[b(x_uu, 0, 0), b_uv], [b_uv, b(x_vv, 1, 1)]])
+    return FundamentalForms(first=first, second=second, normal=xi)
 
 
 def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8):
@@ -267,22 +253,19 @@ def frobenius_scalar(params: MetricParams, p=None) -> float:
 
 def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4):
     u, _, du, dv = y4
-    h = 1e-6
     if not profile.contains(u):
         raise DomainError(f"u = {u!r} outside the profile domain")
-    require_in_domain(params, (profile.f(u), 0.0, 0.0))  # the disk bounds the radius only
+    fv = profile.f(u)
+    require_in_domain(params, (fv, 0.0, 0.0))  # the disk bounds the radius only
     e0, f0, g0 = reference_form_coefficients(params, profile, u)
-    lo, hi = profile.u_domain
-    if u - h < lo or u + h > hi:
-        # one-sided shift keeps the stencil inside the domain
-        uc = min(max(u, lo + h), hi - h)
-    else:
-        uc = u
-    ep, fp_, gp_ = reference_form_coefficients(params, profile, uc + h)
-    em, fm, gm = reference_form_coefficients(params, profile, uc - h)
-    de = (ep - em) / (2.0 * h)
-    df = (fp_ - fm) / (2.0 * h)
-    dg = (gp_ - gm) / (2.0 * h)
+    # exact u derivatives of E, F and G, with d = 1 + m f^2 and d' = 2 m f f'
+    l, m = params.l, params.m
+    fpv, fppv, gpv, gppv = profile.fp(u), profile.fpp(u), profile.gp(u), profile.gpp(u)
+    d = 1.0 + m * fv * fv
+    dp = 2.0 * m * fv * fpv
+    de = 2.0 * fpv * (fppv * d - fpv * dp) / d ** 3 + 2.0 * gpv * gppv
+    df = -0.5 * l * fv * (fv * gppv + 2.0 * fpv * gpv - fv * gpv * dp / d) / d
+    dg = fv * fpv * (2.0 + l * l * fv * fv) / (d * d) - 2.0 * g0 * dp / d
 
     det = e0 * g0 - f0 * f0
     # Lowered symbols [ab, c] = (d_a h_bc + d_b h_ac - d_c h_ab)/2 with the

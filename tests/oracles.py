@@ -2,17 +2,25 @@
 
 `christoffel_fd` rebuilds the Christoffel symbols from finite differences
 of the metric and a numeric inverse, independent of the analytic partials
-of `cvgeo.connection`.  `meridian_profile_ode_residual` is the radius
+of `cvgeo.connection`.  `curvature_fd`, `second_fundamental_form_fd` and
+`surface_rhs_fd` take by finite differences what the library computes in
+closed form: the curvature from the Christoffel symbols, the coordinate
+second derivatives of a surface from its tangents, and the u derivatives
+of the induced metric.  `meridian_profile_ode_residual` is the radius
 equation of the profiles whose meridians are geodesics, against which
 `cvgeo.surfaces.meridian_is_geodesic` is checked.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from cvgeo.connection import christoffel
 from cvgeo.profiles import RevolutionProfile
-from cvgeo.space import MetricParams, _xyz, metric_tensor
+from cvgeo.space import DomainError, MetricParams, _xyz, metric_tensor, require_in_domain
+from cvgeo.surfaces import _unit_normal, embed, reference_form_coefficients
 
 
 def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
@@ -50,3 +58,122 @@ def meridian_profile_ode_residual(params: MetricParams, profile: RevolutionProfi
         - fv * fpv * fppv
         - m * fv ** 3 * fpv * fppv
     )
+
+
+def curvature_fd(params: MetricParams, p) -> np.ndarray:
+    """Coordinate curvature R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l).
+
+    Built from analytic Christoffels with fourth-order central differences
+    of the symbols at step 1e-4 (the symbols do not depend on z, so the z
+    derivative is zero).  Its truncation error grows like (1e-4 / r)^4 with
+    r the distance to the m < 0 disk boundary.
+    """
+    require_in_domain(params, p)
+    x, y, z = _xyz(p)
+    gam = christoffel(params, p)
+    h = 1e-4
+
+    def d4(chris_at):
+        return (
+            -chris_at(2.0 * h) + 8.0 * chris_at(h) - 8.0 * chris_at(-h) + chris_at(-2.0 * h)
+        ) / (12.0 * h)
+
+    dgam = np.zeros((3, 3, 3, 3))
+    dgam[0] = d4(lambda s: christoffel(params, (x + s, y, z)))
+    dgam[1] = d4(lambda s: christoffel(params, (x, y + s, z)))
+    # R^l_{.ijk}: coefficient of d_l in R(d_i, d_j) d_k
+    rup = (
+        np.einsum("iljk->lijk", dgam)
+        - np.einsum("jlik->lijk", dgam)
+        + np.einsum("lim,mjk->lijk", gam, gam)
+        - np.einsum("ljm,mik->lijk", gam, gam)
+    )
+    g = metric_tensor(params, p)
+    return np.einsum("ls,sijk->ijkl", g, rup)
+
+
+def _jacobian(profile: RevolutionProfile, u: float, v: float) -> np.ndarray:
+    """3x2 Jacobian (columns X_u, X_v) at (u, v), from f, f' and g' only."""
+    fv, fpv, gpv = profile.f(u), profile.fp(u), profile.gp(u)
+    cv, sv = math.cos(v), math.sin(v)
+    return np.array(
+        [
+            [fpv * cv, -fv * sv],
+            [fpv * sv, fv * cv],
+            [gpv, 0.0],
+        ]
+    )
+
+
+def second_fundamental_form_fd(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
+    """Symmetrised second fundamental form B_ab = g(nabla_{X_a} X_b, xi),
+    with central finite differences (step 1e-6) of the analytic tangent
+    vectors for the coordinate second derivatives."""
+    u, v = float(q[0]), float(q[1])
+    point, jac = embed(profile, (u, v))
+    g = metric_tensor(params, point)
+    xi = _unit_normal(params, g, point, jac)
+    gxi = g @ xi
+    gam = christoffel(params, point)
+
+    h = 1e-6
+    d_u = (_jacobian(profile, u + h, v) - _jacobian(profile, u - h, v)) / (2.0 * h)  # X_uu, X_vu
+    d_v = (_jacobian(profile, u, v + h) - _jacobian(profile, u, v - h)) / (2.0 * h)  # X_uv, X_vv
+    second_derivs = {
+        (0, 0): d_u[:, 0],
+        (0, 1): d_v[:, 0],
+        (1, 0): d_u[:, 1],
+        (1, 1): d_v[:, 1],
+    }
+
+    b = np.empty((2, 2))
+    for (a, c), dd in second_derivs.items():
+        cov = dd + np.einsum("kij,i,j->k", gam, jac[:, a], jac[:, c])
+        b[a, c] = float(cov @ gxi)
+    return 0.5 * (b + b.T)
+
+
+def surface_rhs_fd(params: MetricParams, profile: RevolutionProfile, y4):
+    """Surface-geodesic rhs (u', v', u'', v'') with central differences
+    (step 1e-6, shifted one-sided at the domain ends) of E, F and G."""
+    u, _, du, dv = y4
+    h = 1e-6
+    if not profile.contains(u):
+        raise DomainError(f"u = {u!r} outside the profile domain")
+    require_in_domain(params, (profile.f(u), 0.0, 0.0))  # the disk bounds the radius only
+    e0, f0, g0 = reference_form_coefficients(params, profile, u)
+    lo, hi = profile.u_domain
+    if u - h < lo or u + h > hi:
+        # one-sided shift keeps the stencil inside the domain
+        uc = min(max(u, lo + h), hi - h)
+    else:
+        uc = u
+    ep, fp_, gp_ = reference_form_coefficients(params, profile, uc + h)
+    em, fm, gm = reference_form_coefficients(params, profile, uc - h)
+    de = (ep - em) / (2.0 * h)
+    df = (fp_ - fm) / (2.0 * h)
+    dg = (gp_ - gm) / (2.0 * h)
+
+    det = e0 * g0 - f0 * f0
+    # Lowered symbols [ab, c] = (d_a h_bc + d_b h_ac - d_c h_ab)/2 with the
+    # induced metric depending on u only ([uv, u] = [vv, v] = 0):
+    l_uu_u = 0.5 * de
+    l_uu_v = df
+    l_uv_v = 0.5 * dg
+    l_vv_u = -0.5 * dg
+
+    # raise the first index with the inverse of [[e, f], [f, g]]
+    h_uu = g0 / det
+    h_uv = -f0 / det
+    h_vv = e0 / det
+
+    g_u_uu = h_uu * l_uu_u + h_uv * l_uu_v
+    g_v_uu = h_uv * l_uu_u + h_vv * l_uu_v
+    g_u_uv = h_uv * l_uv_v
+    g_v_uv = h_vv * l_uv_v
+    g_u_vv = h_uu * l_vv_u
+    g_v_vv = h_uv * l_vv_u
+
+    acc_u = -(g_u_uu * du * du + 2.0 * g_u_uv * du * dv + g_u_vv * dv * dv)
+    acc_v = -(g_v_uu * du * du + 2.0 * g_v_uv * du * dv + g_v_vv * dv * dv)
+    return np.array([du, dv, acc_u, acc_v])

@@ -331,8 +331,13 @@ def test_surface_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
         (("audit", "--suite", "killing", "--seed", "-1"), "seed must not be negative"),
         (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms",
           "--u-min", "1", "--u-max", "0.2", "--grid", "2"), "u_min < u_max"),
+        ((*GEODESIC, "--u", "1", "--method", "closed", "--t-max", "1e300", "--samples", "3"),
+         "too large for a central-difference velocity"),
+        (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms",
+          "--a", "1e300", "--grid", "2"), "input out of range: the output has a value that is not finite"),
     ],
-    ids=["geodesic-samples", "surface-samples", "audit-count", "audit-seed", "surface-u-order"],
+    ids=["geodesic-samples", "surface-samples", "audit-count", "audit-seed", "surface-u-order",
+         "closed-velocity-huge-t", "surface-forms-not-finite"],
 )
 def test_out_of_range_input_is_invalid(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

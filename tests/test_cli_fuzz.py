@@ -1,8 +1,10 @@
 """Property test of the CLI contract: every argv ends with a documented exit
-code, and no exception escapes `main`."""
+code, no exception escapes `main`, and a run that exits 0 prints no value
+that is not finite."""
 
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -14,6 +16,8 @@ from cvgeo.audits import SUITES  # noqa: E402
 from cvgeo.cli import main  # noqa: E402
 
 EXIT_CODES = {0, 1, 3, 64, 65}
+# Python's and json's spellings of the values that are not finite
+NON_FINITE = {"nan", "inf", "-inf", "infinity", "-infinity"}
 
 # Boundary values (not-a-number, infinities, huge, negative, zero, tiny and
 # malformed) drawn one time in four, ordinary values otherwise, so that most
@@ -82,3 +86,6 @@ def test_main_exit_code_is_documented(argv, tol):
             code = main(argv)
     assert code in EXIT_CODES, (argv, tol, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        fields = {f.lower() for f in re.findall(r"[-+\w.]+", out.getvalue())}
+        assert not fields & NON_FINITE, (argv, tol)

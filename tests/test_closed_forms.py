@@ -268,6 +268,18 @@ def test_closed_forms_have_constant_speed():
         assert max(speeds) - min(speeds) < 1e-6
 
 
+def test_numeric_velocity_divides_by_the_representable_step():
+    # at t = 1e4, t +- 1e-6 are 2.00000068e-6 apart, not 2e-6; dividing by
+    # 2e-6 gave a speed error of 4.8e-7
+    params = MetricParams(1.0, 1.0)
+    cf = closed_form_geodesic(params, (1.0, 0.0, 1.0))
+    t = np.array([1e4])
+    speed = state_speed(params, cf.position(t)[0], numeric_velocity(cf.position, t)[0])
+    assert abs(speed - math.sqrt(2.0)) < 1e-8
+    with pytest.raises(ValueError, match="too large"):
+        numeric_velocity(cf.position, np.array([0.0, 1e300]))
+
+
 def test_closed_forms_satisfy_containment():
     for l, m, v0 in CASES:
         params = MetricParams(l, m)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import christoffel_fd
+from oracles import christoffel_fd, curvature_fd
 from cvgeo.audits import random_params, random_point
 from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
@@ -175,6 +175,29 @@ def test_curvature_symmetries_and_bianchi():
         # first Bianchi: cyclic sum over the first three slots
         bianchi = r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)
         assert np.max(np.abs(bianchi)) < 1e-9
+
+
+def test_curvature_matches_fd_oracle():
+    # every fifth pair on the constant-curvature class 4m = l^2; for m < 0
+    # every third point on the shell rho^2 = 0.95/|m|, where D = 0.05.  The
+    # oracle's fourth-order truncation error at step 1e-4 grows like
+    # (1e-4 / r)^4, r the distance to the disk boundary: on the shell it
+    # reaches 3.8e-9 (m = -1.96) and falls 16-fold per halving of the
+    # step, so the bound there is 1e-8.  The scale is at least 1, as the
+    # oracle's rounding does not shrink with the curvature (l, m -> 0).
+    rng = np.random.default_rng(18)
+    for i in range(300):
+        params = random_params(rng)
+        if i % 5 == 0:
+            params = MetricParams(params.l, 0.25 * params.l * params.l)
+        p = random_point(params, rng)
+        shell = params.m < 0.0 and i % 3 == 0
+        if shell:
+            s = math.sqrt(0.95 / -params.m) / math.hypot(p.x, p.y)
+            p = Point3(s * p.x, s * p.y, p.z)
+        exact, oracle = curvature_tensor(params, p), curvature_fd(params, p)
+        rel = np.max(np.abs(exact - oracle)) / max(np.max(np.abs(oracle)), 1.0)
+        assert rel < (1e-8 if shell else 1e-10), (params, p, rel)
 
 
 def test_flat_curvature_vanishes():

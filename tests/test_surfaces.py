@@ -1,12 +1,15 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from battery import nearest_radius_extremum
-from oracles import meridian_profile_ode_residual
+from oracles import meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
 import cvgeo.surfaces
 from cvgeo.audits import random_params, run_suite
 from cvgeo.connection import GeodesicState, integrate_geodesic
@@ -89,7 +92,7 @@ def test_first_form_degenerate_jacobian_rejected():
 
     flat = RevolutionProfile(
         f=lambda u: 1.0, fp=lambda u: 0.0, fpp=lambda u: 0.0,
-        g=lambda u: 0.0, gp=lambda u: 0.0, u_domain=(0.0, 1.0),
+        g=lambda u: 0.0, gp=lambda u: 0.0, gpp=lambda u: 0.0, u_domain=(0.0, 1.0),
     )
     with pytest.raises(ValueError):
         first_fundamental_form(MetricParams(0, 0), flat, (0.5, 0.2))
@@ -126,15 +129,15 @@ def test_normal_is_metric_unit_and_orthogonal():
         assert abs(n @ g @ jac[:, 1]) < 1e-10
 
 
-def test_second_form_symmetric():
+def test_second_form_matches_fd_oracle():
     rng = RNG(33)
-    for _ in range(20):
+    for _ in range(10):
         params = random_params(rng)
         prof = random_profile(params, rng)
-        u = float(rng.uniform(*prof.u_domain))
-        v = float(rng.uniform(0, 2 * math.pi))
-        forms = second_fundamental_form(params, prof, (u, v))
-        assert forms.second_asymmetry < 1e-8
+        for q in default_grid(prof):
+            second = second_fundamental_form(params, prof, q).second
+            assert second[0, 1] == second[1, 0]
+            assert np.max(np.abs(second - second_fundamental_form_fd(params, prof, q))) < 1e-8
 
 
 def test_second_form_embeds_and_builds_metric_once(monkeypatch):
@@ -156,7 +159,7 @@ def test_second_form_embeds_and_builds_metric_once(monkeypatch):
 
 def test_second_form_keeps_height_unit_compatibility_check():
     # f' = 1 - u: the radicand 1 - f'^2 is negative on [lo, 0) only, so g'
-    # is fine at u = 1 and its stencil while the height quadrature is not
+    # and g'' are fine at u = 1 while the height quadrature is not
     prof = unit_speed_profile(
         lambda u: 2.0 + u - 0.5 * u * u, lambda u: 1.0 - u, lambda u: -1.0, 0.0, (-1.0, 1.5)
     )
@@ -296,7 +299,7 @@ def test_meridian_negative_radicand_rejected():
 
     steep = RevolutionProfile(
         f=lambda u: 3.0 * u, fp=lambda u: 3.0, fpp=lambda u: 0.0,
-        g=lambda u: 0.0, gp=lambda u: 0.0, u_domain=(0.2, 1.0),
+        g=lambda u: 0.0, gp=lambda u: 0.0, gpp=lambda u: 0.0, u_domain=(0.2, 1.0),
     )
     with pytest.raises(ValueError):
         meridian_is_geodesic(MetricParams(1.0, 0.0), steep)
@@ -308,6 +311,26 @@ def test_unit_speed_profile_rejects_steep_radius():
             lambda u: 3.0 * u, lambda u: 3.0, lambda u: 0.0, 0.0, (0.2, 1.0)
         )
         prof.gp(0.5)
+
+
+def test_unit_speed_gpp_matches_central_difference():
+    rng = RNG(42)
+    for _ in range(20):
+        params = random_params(rng)
+        prof = random_profile(params, rng)
+        lo, hi = prof.u_domain
+        for u in np.linspace(lo + 1e-3, hi - 1e-3, 9):
+            u, h = float(u), 1e-5
+            central = (prof.gp(u + h) - prof.gp(u - h)) / (2.0 * h)
+            assert abs(prof.gpp(u) - central) < 1e-9
+
+
+def test_unit_speed_gpp_rejects_vanishing_radicand():
+    # f' = 1 = 1 + m f^2 at m = 0: g' = 0 and g'' is singular
+    prof = unit_speed_profile(lambda u: u, lambda u: 1.0, lambda u: 0.0, 0.0, (0.2, 1.0))
+    assert prof.gp(0.5) == 0.0
+    with pytest.raises(ValueError, match="singular"):
+        prof.gpp(0.5)
 
 
 def test_height_quadrature_matches_float64_reference():
@@ -421,6 +444,42 @@ def test_meridian_criterion_duality():
     assert ok0
     traj0 = surface_geodesic_integrate(params0, prof0, SurfaceGeodesicState(0.0, 0.7, 1.0, 0.0), 10.0)
     assert np.max(np.abs(traj0.states[:, 1] - 0.7)) < 1e-6
+
+
+def test_surface_rhs_matches_fd_oracle():
+    # the oracle's rounding error is ~1e-16 E/1e-6 on each coefficient
+    # derivative, so the bound is relative to the size of the rhs
+    rng = RNG(41)
+    for _ in range(20):
+        params = random_params(rng)
+        prof = random_profile(params, rng)
+        lo, hi = prof.u_domain
+        for u in np.linspace(lo + 1e-3, hi - 1e-3, 15):
+            y4 = (float(u), 0.3, float(rng.uniform(-1, 1)), float(rng.uniform(-1.5, 1.5)))
+            exact = cvgeo.surfaces._surface_rhs(params, prof, y4)
+            scale = max(1.0, np.max(np.abs(exact)))
+            assert np.max(np.abs(exact - surface_rhs_fd(params, prof, y4))) < 1e-7 * scale
+
+
+def test_surface_geodesics_match_fd_oracle_rhs(monkeypatch):
+    # the 100 surface geodesics of the benchmark's surface_audit workload, seed 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    cycles = workloads.surface_cycles(1)
+    cases = []
+    for _ in range(100):
+        (inp,) = next(cycles)
+        params = MetricParams(inp.l, inp.m)
+        cases.append((params, random_profile(params, RNG(inp.profile_seed)), SurfaceGeodesicState(*inp.s0)))
+    runs = [surface_geodesic_integrate(*case, 5.0, samples=201) for case in cases]
+    monkeypatch.setattr(cvgeo.surfaces, "_surface_rhs", surface_rhs_fd)
+    for run, case in zip(runs, cases):
+        oracle = surface_geodesic_integrate(*case, 5.0, samples=201)
+        assert run.exit_reason == oracle.exit_reason
+        assert np.max(np.abs(run.states[-1] - oracle.states[-1])) < 1e-7
 
 
 def test_surface_geodesic_exits_domain_partially():
