@@ -2,8 +2,10 @@
 
 Classic six-stage Fehlberg 4(5) pair.  The fifth-order solution is
 propagated (local extrapolation) and the pair difference drives the step
-controller.  Dense output between accepted steps is cubic Hermite on
-(y, f) at both ends.
+controller.  The stages are rows of one (6, d) array: each stage state,
+the new state and the error estimate are one matrix product of a tableau
+row with the stages before it.  Dense output between accepted steps is
+cubic Hermite on (y, f) at both ends.
 
 The stepper is generic over the state dimension; the geodesic integrators
 in `connection` and `surfaces` both run on it.
@@ -11,29 +13,37 @@ in `connection` and `surfaces` both run on it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["StepSizeUnderflow", "IntegrationError", "rk45", "hermite_sample"]
 
 # Fehlberg tableau
-_A = (
-    (),
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.25, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 32.0, 9.0 / 32.0, 0.0, 0.0, 0.0],
+        [1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0, 0.0, 0.0],
+        [439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0, 0.0],
+        [-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0],
+    ]
 )
-_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
+_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
 # b5 - b4, for the local error estimate of the fourth-order solution
-_E = (
-    16.0 / 135.0 - 25.0 / 216.0,
-    0.0,
-    6656.0 / 12825.0 - 1408.0 / 2565.0,
-    28561.0 / 56430.0 - 2197.0 / 4104.0,
-    -9.0 / 50.0 + 1.0 / 5.0,
-    2.0 / 55.0,
+_E = np.array(
+    [
+        16.0 / 135.0 - 25.0 / 216.0,
+        0.0,
+        6656.0 / 12825.0 - 1408.0 / 2565.0,
+        28561.0 / 56430.0 - 2197.0 / 4104.0,
+        -9.0 / 50.0 + 1.0 / 5.0,
+        2.0 / 55.0,
+    ]
 )
+_N_STAGES = len(_B5)
+_A_ROWS = tuple(_A[i, :i] for i in range(_N_STAGES))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -85,8 +95,8 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
     h_max = max(t_max / 8.0, 1e-8)
     h = min(1e-2, t_max / 100.0, h_max)
 
-    n_stages = 6
-    k = [f] + [None] * (n_stages - 1)
+    k = np.empty((_N_STAGES, len(y)))
+    k[0] = f
     # While the guard keeps rejecting, h must not regrow, or the run creeps
     # forever toward an asymptotic obstruction; a clean acceptance (no
     # rejection since the previous accepted step) lifts the suppression so
@@ -105,12 +115,8 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
             raise StepSizeUnderflow(f"step size underflow at t = {t!r}")
 
         try:
-            for i in range(1, n_stages):
-                yi = y.copy()
-                ai = _A[i]
-                for j in range(i):
-                    yi += (h * ai[j]) * k[j]
-                k[i] = np.asarray(rhs(yi), dtype=float)
+            for i in range(1, _N_STAGES):
+                k[i] = rhs(y + (h * _A_ROWS[i]) @ k[:i])
         except guard_error:
             # a stage left the domain: a guard rejection that shrinks h
             guard_hit = True
@@ -120,15 +126,11 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
             h *= 0.25
             continue
 
-        y_new = y.copy()
-        err = np.zeros_like(y)
-        for i in range(n_stages):
-            if _B5[i] != 0.0:
-                y_new += (h * _B5[i]) * k[i]
-            if _E[i] != 0.0:
-                err += (h * _E[i]) * k[i]
+        y_new = y + (h * _B5) @ k
+        err = (h * _E) @ k
         sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
+        r = err / sc
+        err_norm = math.sqrt(np.add.reduce(r * r) / len(r))  # RMS
 
         if err_norm <= 1.0:
             rejected = not guard(y_new)
@@ -149,7 +151,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
             f = f_new
             k[0] = f
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             fs.append(f.copy())
             if guard_hit:
                 # accepted while skirting the guard: hold h steady and

@@ -1,7 +1,8 @@
 """Command-line surface: classify | geodesic | audit | surface.
 
 Exit codes: 0 success, 1 audit failure, closed/numeric mismatch or a
-closed output pipe, 3 domain-exit partial result, 64 usage error,
+closed output pipe, 3 domain-exit partial result (for --method closed:
+the closed form reached the m < 0 stop shell), 64 usage error,
 65 invalid input.  Float flags take finite numbers only and --grid an
 integer in [1, 1000000]; --samples and --count must not exceed 1000000
 and --seed must not be negative (else 65).  Inputs that the library
@@ -29,7 +30,13 @@ import numpy as np
 from ._rk import IntegrationError, StepSizeUnderflow
 from .audits import SUITES, run_suite
 from .closed_forms import closed_form_geodesic, numeric_velocity
-from .connection import DEFAULT_TOL, GeodesicState, annotate_states, integrate_geodesic
+from .connection import (
+    BOUNDARY_MARGIN,
+    DEFAULT_TOL,
+    GeodesicState,
+    annotate_states,
+    integrate_geodesic,
+)
 from .profiles import cone, cylinder, slice_profile, tan_profile, tanh_profile, validate_profile
 from .space import MetricParams, Point3, SpaceClass, classify
 from .surfaces import (
@@ -126,6 +133,28 @@ def _print_rows(header: str, rows) -> None:
         print(",".join(_fmt(v) for v in row))
 
 
+def _shell_exit_time(params: MetricParams, closed, ts, pos):
+    """For m < 0, the time at which the closed form reaches the stop shell
+    rho^2 = -1/m - BOUNDARY_MARGIN of the numeric path, bisected between the
+    first sample at or beyond it and the sample before; the returned time
+    is the last one found inside.  None if no sample reaches the shell."""
+    if params.m >= 0.0:
+        return None
+    rho2_stop = -1.0 / params.m - BOUNDARY_MARGIN
+    beyond = np.flatnonzero(pos[:, 0] ** 2 + pos[:, 1] ** 2 >= rho2_stop)
+    if beyond.size == 0:
+        return None
+    lo, hi = float(ts[beyond[0] - 1]), float(ts[beyond[0]])  # ts[0] = 0 is the origin
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        x, y, _ = closed.position(np.array([mid]))[0]
+        if x * x + y * y < rho2_stop:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def cmd_geodesic(args) -> int:
     v0 = np.array([args.u, args.v, args.w], dtype=float)
     if not np.any(v0):
@@ -144,9 +173,14 @@ def cmd_geodesic(args) -> int:
 
     if args.method == "closed":
         ts = np.linspace(0.0, args.t_max, args.samples)
-        states = np.hstack([closed.position(ts), numeric_velocity(closed.position, ts)])
+        pos = closed.position(ts)
+        t_stop = _shell_exit_time(params, closed, ts, pos)
+        if t_stop is not None:
+            ts = np.linspace(0.0, t_stop, args.samples)
+            pos = closed.position(ts)
+        states = np.hstack([pos, numeric_velocity(closed.position, ts)])
         _print_rows(TRACE_HEADER, np.column_stack([ts, states, *annotate_states(params, states)]))
-        return EXIT_OK
+        return EXIT_OK if t_stop is None else EXIT_PARTIAL
 
     traj = integrate_geodesic(
         params,

@@ -3,10 +3,14 @@
 Christoffel symbols are assembled from closed-form partial derivatives of
 the metric components (rational functions of x and y; the metric does not
 depend on z) through the Koszul formula, with the exact inverse metric from
-the orthonormal frame.  The curvature tensor is the closed form of the
-E(kappa, tau) spaces.  The finite-difference oracles that validate both
-(Koszul symbols from the metric, curvature from the symbols) live with
-the tests (`tests/oracles.py`).
+the orthonormal frame; surfaces and the Killing defects use them.  The
+curvature tensor is the closed form of the E(kappa, tau) spaces.
+
+The geodesic rhs is closed form too: the E(kappa, tau) frame connection
+written back in coordinates, a few scalar operations per evaluation.  The
+rhs from the Koszul symbols is its oracle, and finite differences check
+the symbols and the curvature; these cross-checks live with the tests
+(`tests/oracles.py`).
 
 The geodesic integrator is the adaptive embedded Runge-Kutta 4(5) stepper
 from `_rk`, default tolerance 1e-10, with cubic Hermite dense output.  It
@@ -133,19 +137,24 @@ def christoffel(params: MetricParams, p) -> np.ndarray:
 
 
 def _rhs_entries(l: float, m: float, y6) -> np.ndarray:
+    """Geodesic rhs (v, a) in closed form: the E(kappa, tau) frame connection
+    written back in coordinates by the chain rule.
+
+    With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
+    K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)):
+        ax = 2 m r vx - K vy,  ay = 2 m r vy + K vx,  az = (l/2) K r.
+    The state is read as numpy scalars, so overflow raises under errstate.
+    """
     x, yy = y6[0], y6[1]
     vx, vy, vz = y6[3], y6[4], y6[5]
-    gam = _gamma_entries(l, m, x, yy)
-    acc = [0.0, 0.0, 0.0]
-    for k in range(3):
-        gk = gam[k]
-        acc[k] = -(
-            gk[0][0] * vx * vx
-            + gk[1][1] * vy * vy
-            + gk[2][2] * vz * vz
-            + 2.0 * (gk[0][1] * vx * vy + gk[0][2] * vx * vz + gk[1][2] * vy * vz)
-        )
-    return np.array([vx, vy, vz, acc[0], acc[1], acc[2]])
+    D = 1.0 + m * (x * x + yy * yy)
+    if D <= 0.0:
+        raise DomainError(f"metric degenerate: D = {D!r}")
+    c = (yy * vx - x * vy) / D
+    r = (x * vx + yy * vy) / D
+    K = l * (vz + 0.5 * l * c) - 2.0 * m * c
+    mr2 = 2.0 * m * r
+    return np.array([vx, vy, vz, mr2 * vx - K * vy, mr2 * vy + K * vx, 0.5 * l * K * r])
 
 
 def state_speed(params: MetricParams, point, velocity) -> float:

@@ -257,11 +257,14 @@ def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4):
         raise DomainError(f"u = {u!r} outside the profile domain")
     fv = profile.f(u)
     require_in_domain(params, (fv, 0.0, 0.0))  # the disk bounds the radius only
-    e0, f0, g0 = reference_form_coefficients(params, profile, u)
-    # exact u derivatives of E, F and G, with d = 1 + m f^2 and d' = 2 m f f'
     l, m = params.l, params.m
     fpv, fppv, gpv, gppv = profile.fp(u), profile.fpp(u), profile.gp(u), profile.gpp(u)
+    # E, F and G as in reference_form_coefficients, and their exact u
+    # derivatives, with d = 1 + m f^2 and d' = 2 m f f'
     d = 1.0 + m * fv * fv
+    e0 = fpv * fpv / (d * d) + gpv * gpv
+    f0 = -0.5 * l * fv * fv * gpv / d
+    g0 = (4.0 * fv * fv + l * l * fv ** 4) / (4.0 * d * d)
     dp = 2.0 * m * fv * fpv
     de = 2.0 * fpv * (fppv * d - fpv * dp) / d ** 3 + 2.0 * gpv * gppv
     df = -0.5 * l * fv * (fv * gppv + 2.0 * fpv * gpv - fv * gpv * dp / d) / d

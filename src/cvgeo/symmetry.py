@@ -93,12 +93,32 @@ def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
     """(g(v, X), g(v, Y), g(v, Z), g(v, R)) at the state.
 
     Constant along geodesics; from the origin with velocity (u, v, w) the
-    values are (v, u, w, 0).
+    values are (v, u, w, 0).  The lowered velocity is
+    g v = (vx/D^2 + alpha w3, vy/D^2 + beta w3, w3) with w3 = omega^3(v),
+    and each field is paired with it inline.
     """
     p = state.point
-    g = metric_tensor(params, p)
-    gv = g @ np.asarray(state.velocity, dtype=float)
-    return np.array([float(killing_eval(params, k, p) @ gv) for k in KILLING_NAMES])
+    require_in_domain(params, p)
+    x, y, _ = _xyz(p)
+    vx, vy, vz = np.asarray(state.velocity, dtype=float)
+    l, m = params.l, params.m
+    D = 1.0 + m * (x * x + y * y)
+    al = 0.5 * l * y / D
+    be = -0.5 * l * x / D
+    w3 = al * vx + be * vy + vz
+    q = 1.0 / (D * D)
+    gx = q * vx + al * w3
+    gy = q * vy + be * w3
+    mxy = 2.0 * m * x * y
+    ints = np.array(
+        [
+            mxy * gx + (D - 2.0 * m * x * x) * gy - 0.5 * l * x * w3,
+            (D - 2.0 * m * y * y) * gx + mxy * gy + 0.5 * l * y * w3,
+            w3,
+            x * gy - y * gx,
+        ]
+    )
+    return ints + 0.0  # a zero integral is +0.0, never -0.0
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 `christoffel_fd` rebuilds the Christoffel symbols from finite differences
 of the metric and a numeric inverse, independent of the analytic partials
-of `cvgeo.connection`.  `curvature_fd`, `second_fundamental_form_fd` and
+of `cvgeo.connection`.  `koszul_rhs` is the geodesic rhs from the Koszul
+Christoffel symbols and `killing_pairings` the first integrals from the
+metric matrix and the Killing fields: the oracles of the closed-form rhs
+and of the fused first integrals.  `curvature_fd`, `second_fundamental_form_fd` and
 `surface_rhs_fd` take by finite differences what the library computes in
 closed form: the curvature from the Christoffel symbols, the coordinate
 second derivatives of a surface from its tangents, and the u derivatives
@@ -17,10 +20,11 @@ import math
 
 import numpy as np
 
-from cvgeo.connection import christoffel
+from cvgeo.connection import _gamma_entries, christoffel
 from cvgeo.profiles import RevolutionProfile
 from cvgeo.space import DomainError, MetricParams, _xyz, metric_tensor, require_in_domain
 from cvgeo.surfaces import _unit_normal, embed, reference_form_coefficients
+from cvgeo.symmetry import KILLING_NAMES, killing_eval
 
 
 def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
@@ -38,6 +42,32 @@ def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
     ginv = np.linalg.inv(metric_tensor(params, p))
     brack = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
     return 0.5 * np.einsum("kl,ijl->kij", ginv, brack)
+
+
+def koszul_rhs(l: float, m: float, y6) -> np.ndarray:
+    """Geodesic rhs (v, -Gamma^k_ij v^i v^j) from the Koszul Christoffel
+    symbols; the oracle of the closed-form `connection._rhs_entries`."""
+    x, yy = y6[0], y6[1]
+    vx, vy, vz = y6[3], y6[4], y6[5]
+    gam = _gamma_entries(l, m, x, yy)
+    acc = [0.0, 0.0, 0.0]
+    for k in range(3):
+        gk = gam[k]
+        acc[k] = -(
+            gk[0][0] * vx * vx
+            + gk[1][1] * vy * vy
+            + gk[2][2] * vz * vz
+            + 2.0 * (gk[0][1] * vx * vy + gk[0][2] * vx * vz + gk[1][2] * vy * vz)
+        )
+    return np.array([vx, vy, vz, acc[0], acc[1], acc[2]])
+
+
+def killing_pairings(params: MetricParams, state) -> np.ndarray:
+    """g(v, K) for K = X, Y, Z, R as killing_eval(K) @ metric_tensor @ v;
+    the oracle of the fused `cvgeo.symmetry.first_integrals`."""
+    p = state.point
+    gv = metric_tensor(params, p) @ np.asarray(state.velocity, dtype=float)
+    return np.array([float(killing_eval(params, k, p) @ gv) for k in KILLING_NAMES])
 
 
 def meridian_profile_ode_residual(params: MetricParams, profile: RevolutionProfile, u: float) -> float:

@@ -9,7 +9,10 @@ import pytest
 
 import cvgeo
 from cvgeo import _rk
-from cvgeo.cli import main
+from cvgeo.cli import TRACE_HEADER, main
+from cvgeo.closed_forms import closed_form_geodesic, numeric_velocity
+from cvgeo.connection import BOUNDARY_MARGIN, annotate_states
+from cvgeo.space import MetricParams
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +93,38 @@ def test_geodesic_i4_column_zero_for_origin_starts(capsys):
     # dense-output interpolation wobbles at a few 1e-8; the knot-sample
     # conservation contract is tested on Trajectory objects directly
     assert np.max(np.abs(rows[:, 10])) < 5e-8
+
+
+def test_geodesic_closed_stops_at_the_shell_for_m_negative(capsys):
+    # the closed form runs toward the disk boundary; it stops where the
+    # numeric path stops, at rho^2 = -1/m - BOUNDARY_MARGIN, with exit 3
+    m = -0.9567369188852526
+    code, out, _ = run_cli(
+        capsys, "geodesic", "--l", "-1.5866815441845719", "--m", repr(m),
+        "--u", "0.5275017691605485", "--v", "-0.8089805053118738", "--w", "0.2594078363462382",
+        "--method", "closed", "--t-max", "30", "--samples", "2001",
+    )
+    assert code == 3
+    _, rows = parse_csv(out)
+    assert len(rows) == 2001
+    assert 0.0 < rows[-1, 0] < 30.0
+    assert np.all(rows[:, 1] ** 2 + rows[:, 2] ** 2 < -1.0 / m - BOUNDARY_MARGIN)
+
+
+def test_geodesic_closed_inside_the_shell_is_unchanged(capsys):
+    # an m < 0 path that stays inside: the rows on [0, t-max], exit 0
+    params = MetricParams(0.8, -0.6)
+    code, out, _ = run_cli(
+        capsys, "geodesic", "--l", "0.8", "--m", "-0.6", "--u", "0.5", "--v", "-0.3", "--w", "0.4",
+        "--method", "closed", "--t-max", "3", "--samples", "41",
+    )
+    assert code == 0
+    cf = closed_form_geodesic(params, (0.5, -0.3, 0.4))
+    ts = np.linspace(0.0, 3.0, 41)
+    states = np.hstack([cf.position(ts), numeric_velocity(cf.position, ts)])
+    rows = np.column_stack([ts, states, *annotate_states(params, states)])
+    expected = [TRACE_HEADER] + [",".join(repr(float(v)) for v in row) for row in rows]
+    assert out == "\n".join(expected) + "\n"
 
 
 def test_geodesic_domain_exit_partial(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import christoffel_fd, curvature_fd
+from oracles import christoffel_fd, curvature_fd, koszul_rhs
 from cvgeo.audits import random_params, random_point
 from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
@@ -17,7 +17,7 @@ from cvgeo.connection import (
     sectional_curvature,
     state_speed,
 )
-from cvgeo.space import MetricParams, Point3, metric_tensor
+from cvgeo.space import DomainError, MetricParams, Point3, metric_tensor
 
 
 def state(x, y, z, vx, vy, vz):
@@ -79,6 +79,35 @@ def test_geodesic_rhs_flat():
     params = MetricParams(0.0, 0.0)
     rhs = _rhs_entries(params.l, params.m, state(1, 2, 3, -1, 0.5, 2).as_array())
     assert np.allclose(rhs, [-1, 0.5, 2, 0, 0, 0])
+
+
+def test_geodesic_rhs_matches_koszul_oracle():
+    # every fifth state on the constant-curvature line 4m = l^2, and every
+    # third m < 0 state at rho^2 = 0.999/|m|, where D = 1e-3
+    rng = np.random.default_rng(41)
+    n_hyperbolic = 0
+    for i in range(2000):
+        l = rng.uniform(-2.5, 2.5)
+        m = 0.25 * l * l if i % 5 == 0 else rng.uniform(-2.0, 2.0)
+        if m < 0.0:
+            n_hyperbolic += 1
+            share = 0.999 if n_hyperbolic % 3 == 0 else rng.uniform(0.0, 0.999)
+            rho = math.sqrt(share / -m)
+        else:
+            rho = rng.uniform(0.0, 3.0)
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        vel = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+        y6 = np.array([rho * math.cos(th), rho * math.sin(th), rng.uniform(-3.0, 3.0), *vel])
+        exact = _rhs_entries(l, m, y6)
+        oracle = koszul_rhs(l, m, y6)
+        scale = max(float(np.max(np.abs(oracle))), 1.0)
+        assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale, (l, m, y6)
+    assert n_hyperbolic > 300
+
+
+def test_geodesic_rhs_raises_where_metric_degenerates():
+    with pytest.raises(DomainError):
+        _rhs_entries(1.0, -1.0, np.array([1.0, 0.0, 0.0, 0.3, 0.2, 0.1]))
 
 
 def test_geodesic_rhs_velocity_homogeneity():

@@ -77,3 +77,16 @@ def test_initial_state_rejected():
 def test_guard_is_required():
     with pytest.raises(TypeError):
         rk45(lambda y: -y, [1.0], 1.0, 1e-10)
+
+
+def test_fifth_order_solution_integrates_a_quartic_exactly():
+    # y' = (1, y0^4): the stages see y0 = t + c_i h, and the fifth-order
+    # weights integrate t^4 exactly, so y1 = t^5/5 at every knot to rounding;
+    # a stage combined with the wrong tableau row or weights misses it
+    ts, ys, _, reason = rk45(
+        lambda y: np.array([1.0, y[0] ** 4]), [0.0, 0.0], 2.0, 1e-8, guard=always, guard_error=()
+    )
+    assert reason == "complete"
+    assert len(ts) > 10
+    assert np.max(np.abs(ys[:, 0] - ts)) < 1e-14
+    assert np.max(np.abs(ys[:, 1] - ts**5 / 5.0)) < 1e-13

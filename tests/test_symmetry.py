@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import killing_pairings
 from cvgeo.audits import random_params, random_point
 from cvgeo.connection import GeodesicState, integrate_geodesic
 from cvgeo.space import MetricParams, Point3, conformal_factor
@@ -129,6 +130,16 @@ def test_first_integrals_origin_values_exact():
         u, v, w = rng.uniform(-2, 2, 3)
         vals = first_integrals(params, state(u, v, w))
         assert vals[0] == v and vals[1] == u and vals[2] == w and vals[3] == 0.0
+
+
+def test_first_integrals_match_pairing_oracle():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        params = random_params(rng)
+        st = GeodesicState(random_point(params, rng), rng.normal(size=3) * rng.uniform(0.1, 3.0))
+        oracle = killing_pairings(params, st)
+        scale = max(float(np.max(np.abs(oracle))), 1.0)
+        assert np.max(np.abs(first_integrals(params, st) - oracle)) <= 1e-12 * scale
 
 
 def test_first_integrals_vertical_start():

@@ -2,17 +2,70 @@
 
 import importlib
 import importlib.util
+import itertools
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_benchmark_targets_resolve():
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def test_traced_benchmark_targets_resolve(tracer):
     # the traced benchmark patches these bindings; a renamed or deleted one
     # fails here rather than at benchmark time
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     assert tracer.TARGETS
     for module, name in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+# Metrics of EXPECT_NONZERO that one in-process operation does not produce:
+# the import time is measured in fresh interpreters.
+NOT_PER_OP = {"cli.import_ms"}
+
+
+@pytest.mark.parametrize(
+    "workload, run",
+    [("ensemble", "run_geodesic"), ("trace_cli", "run_cli_in_process")],
+)
+def test_one_traced_operation_keeps_the_tracer_contract(tracer, workloads, workload, run):
+    # the benchmark's self-checks, on one operation: the rhs closure is owned
+    # by a module the tracer knows, one first_integrals call per annotated
+    # row, and every layer the workload must exercise is nonzero
+    cycles = {"ensemble": workloads.ensemble_cycles, "trace_cli": workloads.cli_cycles}[workload]
+    inp = next(itertools.chain.from_iterable(cycles(1)))
+    trace = tracer.Tracer()
+    with trace.installed():
+        res = getattr(workloads, run)(inp)
+    assert res.failures == [] and res.malformed == []
+    assert tracer.op_invariants(trace.counts, res) == []
+    extra = {
+        "momentum_drift_max": 0.0,
+        "rows_out": res.rows_out,
+        "stdout_bytes": res.stdout_bytes,
+        "fail_ratio": 0.0,
+        "cli_import_ms": 0.0,
+        "trace_overhead_s": 0.0,
+    }
+    metrics = tracer.layer_metrics(*trace.span_times(), trace.counts, 1, extra)
+    for name in tracer.EXPECT_NONZERO[workload]:
+        if name not in NOT_PER_OP:
+            assert metrics[name] > 0.0, name
