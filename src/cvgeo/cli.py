@@ -228,11 +228,16 @@ def cmd_surface(args) -> int:
 
     if args.action == "forms":
         rows = []
-        for (u, v) in default_grid(profile, nu=args.grid, nv=8):
-            forms = second_fundamental_form(params, profile, (u, v))
-            a, b = forms.first, forms.second
-            rows.append([u, v, a[0, 0], a[0, 1], a[1, 1], b[0, 0], b[0, 1], b[1, 1]])
-        _print_rows("u,v,E,F,G,B_uu,B_uv,B_vv", rows)
+        grid = default_grid(profile, nu=args.grid, nv=8)
+        # A value that overflows reaches _print_rows' check as inf or nan,
+        # as it did through scalar arithmetic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in np.split(grid, args.grid):  # one call per u keeps the work arrays at 8 points
+                forms = second_fundamental_form(params, profile, row)
+                a, b = forms.first, forms.second
+                rows.append(np.column_stack([row, a[:, 0, 0], a[:, 0, 1], a[:, 1, 1],
+                                             b[:, 0, 0], b[:, 0, 1], b[:, 1, 1]]))
+        _print_rows("u,v,E,F,G,B_uu,B_uv,B_vv", np.concatenate(rows))
         return EXIT_OK
 
     if args.action == "parallels":

@@ -20,6 +20,7 @@ package is checked.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ from .space import (
     DomainError,
     MetricParams,
     Point3,
+    _is_rows,
+    _rows_in_domain,
     _xyz,
     frame,
     metric_tensor,
@@ -78,7 +81,11 @@ def _gamma_entries(l: float, m: float, x: float, y: float):
     """
     rho2 = x * x + y * y
     D = 1.0 + m * rho2
-    if D <= 0.0:
+    if isinstance(D, np.ndarray):  # arrays of x and y: the first degenerate point
+        bad = D[D <= 0.0]
+        if bad.size:
+            raise DomainError(f"metric degenerate: D = {float(bad[0])!r}")
+    elif D <= 0.0:
         raise DomainError(f"metric degenerate: D = {D!r}")
     D2 = D * D
     al = 0.5 * l * y / D
@@ -130,7 +137,20 @@ def _gamma_entries(l: float, m: float, x: float, y: float):
 
 
 def christoffel(params: MetricParams, p) -> np.ndarray:
-    """Gamma^k_ij of the Levi-Civita connection, shape (3, 3, 3)."""
+    """Gamma^k_ij of the Levi-Civita connection, shape (3, 3, 3).
+
+    p is one point, or an (..., 3) array of points for an (..., 3, 3, 3)
+    result; `_gamma_entries` runs elementwise on the coordinate arrays in
+    the same operation order, so each entry is the one-point call's, bit for
+    bit.
+    """
+    if _is_rows(p):
+        x, y = _rows_in_domain(params, p)
+        gam = _gamma_entries(params.l, params.m, x, y)
+        out = np.empty(p.shape[:-1] + (3, 3, 3))
+        for k, i, j in itertools.product(range(3), repeat=3):
+            out[..., k, i, j] = gam[k][i][j]
+        return out
     require_in_domain(params, p)
     x, y, _ = _xyz(p)
     return np.array(_gamma_entries(params.l, params.m, x, y))

@@ -154,8 +154,40 @@ def _metric_scalars(params: MetricParams, x: float, y: float):
     return D, half_l * y / D, -half_l * x / D
 
 
+def _is_rows(p) -> bool:
+    """Whether p is an (..., 3) array of points rather than one point."""
+    return isinstance(p, np.ndarray) and p.ndim > 1
+
+
+def _rows_in_domain(params: MetricParams, p: np.ndarray):
+    """x and y of an (..., 3) array of points; raises `require_in_domain`'s
+    DomainError for the first point, in row order, outside the m < 0 disk."""
+    x, y = p[..., 0], p[..., 1]
+    if params.m < 0.0:
+        outside = ~(x * x + y * y < -1.0 / params.m)
+        if outside.any():
+            require_in_domain(params, p[outside][0])
+    return x, y
+
+
 def metric_tensor(params: MetricParams, p) -> np.ndarray:
-    """Coordinate components g_ij at p (symmetric positive definite 3x3)."""
+    """Coordinate components g_ij at p (symmetric positive definite 3x3).
+
+    p is one point, or an (..., 3) array of points for an (..., 3, 3)
+    result whose entries are those of the one-point calls, bit for bit.
+    """
+    if _is_rows(p):
+        x, y = _rows_in_domain(params, p)
+        D, al, be = _metric_scalars(params, x, y)
+        q = 1.0 / (D * D)
+        g = np.empty(p.shape[:-1] + (3, 3))
+        g[..., 0, 0] = q + al * al
+        g[..., 1, 1] = q + be * be
+        g[..., 2, 2] = 1.0
+        g[..., 0, 1] = g[..., 1, 0] = al * be
+        g[..., 0, 2] = g[..., 2, 0] = al
+        g[..., 1, 2] = g[..., 2, 1] = be
+        return g
     require_in_domain(params, p)
     x, y, _ = _xyz(p)
     D, al, be = _metric_scalars(params, x, y)

@@ -10,9 +10,12 @@ with a `RevolutionProfile` supplying f, g and derivatives.  The first
 fundamental form is the pullback of the ambient metric through the
 Jacobian of X; the second uses the metric unit normal and ambient
 covariant derivatives of the coordinate tangents, with the exact second
-derivatives of X in f, f', f'' and g', g''.  Each point is embedded once
-(one evaluation of the height g, for unit-speed profiles a quadrature of
-g') and its metric built once.  Surface geodesics are integrated from the
+derivatives of X in f, f', f'' and g', g''.  Both take one point (u, v) or
+an (N, 2) grid and evaluate it in one array pass: the profile callables
+once per distinct u, one `metric_tensor` and one `christoffel` call for
+all points, and the height g once per call, at the largest u (the metric
+does not depend on z; for unit-speed profiles that quadrature of g' is the
+unit-compatibility check).  Surface geodesics are integrated from the
 closed-form coefficients (E, F, G) of `reference_form_coefficients`,
 which depend on u only, and their exact u derivatives; the rotational
 momentum p_v = 2 G v' + 2 F u' they conserve is the independent check.
@@ -28,13 +31,12 @@ import numpy as np
 from . import _rk
 from .connection import christoffel
 from .profiles import RevolutionProfile, _unit_radicand
-from .space import DomainError, MetricParams, coframe_values, metric_tensor, require_in_domain
+from .space import DomainError, MetricParams, _metric_scalars, metric_tensor, require_in_domain
 
 __all__ = [
     "FundamentalForms",
     "SurfaceGeodesicState",
     "SurfaceTrajectory",
-    "embed",
     "first_fundamental_form",
     "reference_form_coefficients",
     "second_fundamental_form",
@@ -55,7 +57,8 @@ SURFACE_DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First and second fundamental forms and the oriented unit normal."""
+    """First and second fundamental forms and the oriented unit normal, at
+    one point or stacked over the N points of a grid."""
 
     first: np.ndarray
     second: np.ndarray
@@ -73,37 +76,66 @@ class SurfaceGeodesicState:
         return np.array([self.u, self.v, self.du, self.dv], dtype=float)
 
 
-def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient point and 3x2 Jacobian (columns X_u, X_v) at q = (u, v);
-    the one place the height g(u) is evaluated."""
-    u, v = float(q[0]), float(q[1])
-    gv = profile.g(u)
-    fv, fpv, gpv = profile.f(u), profile.fp(u), profile.gp(u)
-    cv, sv = math.cos(v), math.sin(v)
-    point = np.array([fv * cv, fv * sv, gv])
-    jac = np.array(
-        [
-            [fpv * cv, -fv * sv],
-            [fpv * sv, fv * cv],
-            [gpv, 0.0],
-        ]
-    )
-    return point, jac
+def _profile_values(u: np.ndarray, *fns) -> list[np.ndarray]:
+    """Each scalar profile callable at every entry of u, called once per
+    distinct value (a grid repeats each u once per v)."""
+    distinct, index = np.unique(u, return_inverse=True)
+    xs = distinct.tolist()
+    return [np.array([fn(x) for x in xs])[index] for fn in fns]
 
 
-def _pullback(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """J^T g J, rejecting a degenerate Jacobian."""
-    form = jac.T @ g @ jac
-    det = form[0, 0] * form[1, 1] - form[0, 1] * form[1, 0]
-    if det <= 0.0:
+@dataclass(frozen=True)
+class _Patch:
+    """The embedding at the rows (u, v) of a grid: cos v and sin v, the
+    points (f cos v, f sin v, 0) (the metric does not depend on z), the
+    Jacobians (columns X_u, X_v), the metrics and the first forms."""
+
+    u: np.ndarray
+    cos_v: np.ndarray
+    sin_v: np.ndarray
+    point: np.ndarray
+    jac: np.ndarray
+    metric: np.ndarray
+    first: np.ndarray
+
+
+def _patch(params: MetricParams, profile: RevolutionProfile, q) -> tuple[_Patch, bool]:
+    """The embedding at q, a point (u, v) or an (N, 2) grid, and whether q
+    was one point.
+
+    The profile callables run once per distinct u.  The height g runs once, at
+    the largest u: no form needs it, and for a unit-speed profile its
+    quadrature of g' over [u_lo, max u] is the unit-compatibility check.
+    One `metric_tensor` call serves every point; the pullback J^T g J
+    rejects a degenerate Jacobian.
+    """
+    q = np.asarray(q, dtype=float)
+    u, v = q.reshape(-1, 2).T
+    profile.g(float(u.max()))
+    fv, fpv, gpv = _profile_values(u, profile.f, profile.fp, profile.gp)
+    cv, sv = np.cos(v), np.sin(v)
+    point = np.zeros((len(u), 3))
+    point[:, 0] = fv * cv
+    point[:, 1] = fv * sv
+    jac = np.zeros((len(u), 3, 2))
+    jac[:, 0, 0] = fpv * cv
+    jac[:, 1, 0] = fpv * sv
+    jac[:, 2, 0] = gpv
+    jac[:, 0, 1] = -point[:, 1]
+    jac[:, 1, 1] = point[:, 0]
+    g = metric_tensor(params, point)
+    first = np.swapaxes(jac, 1, 2) @ g @ jac
+    det = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] * first[:, 1, 0]
+    if (det <= 0.0).any():
         raise ValueError("degenerate surface Jacobian")
-    return form
+    return _Patch(u, cv, sv, point, jac, g, first), q.ndim == 1
 
 
 def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
-    """Pullback J^T g J of the ambient metric through the embedding."""
-    point, jac = embed(profile, q)
-    return _pullback(jac, metric_tensor(params, point))
+    """Pullback J^T g J of the ambient metric through the embedding, at a
+    point q = (u, v) (shape (2, 2)) or an (N, 2) grid (shape (N, 2, 2))."""
+    patch, single = _patch(params, profile, q)
+    return patch.first[0] if single else patch.first
 
 
 def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile, u: float):
@@ -115,99 +147,100 @@ def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile
         F = -l f^2 g' / (2 (1 + m f^2))
         G = (4 f^2 + l^2 f^4) / (4 (1 + m f^2)^2)
     """
+    return _form_coefficients(params, profile.f(u), profile.fp(u), profile.gp(u))
+
+
+def _form_coefficients(params: MetricParams, fv, fpv, gpv):
+    """(E, F, G) of `reference_form_coefficients` from f, f' and g', floats
+    or arrays alike; f^4 is np.float_power, which is the C pow of Python's
+    ** (np.power may round differently)."""
     l, m = params.l, params.m
-    fv, fpv, gpv = profile.f(u), profile.fp(u), profile.gp(u)
     d = 1.0 + m * fv * fv
     e = fpv * fpv / (d * d) + gpv * gpv
     fcoef = -0.5 * l * fv * fv * gpv / d
-    gcoef = (4.0 * fv * fv + l * l * fv ** 4) / (4.0 * d * d)
+    gcoef = (4.0 * fv * fv + l * l * np.float_power(fv, 4)) / (4.0 * d * d)
     return e, fcoef, gcoef
 
 
-def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
-    """Metric unit normal for the metric g at point, oriented by the sign
-    of its omega^3 value (falling back to omega^1 then omega^2 where
-    earlier ones vanish)."""
-    r1 = g @ jac[:, 0]
-    r2 = g @ jac[:, 1]
-    n = np.cross(r1, r2)
-    norm2 = float(n @ g @ n)
-    if norm2 <= 1e-28:
-        raise ValueError("degenerate tangent plane")
-    n = n / math.sqrt(norm2)
-    w = coframe_values(params, point, n)
-    for comp in (w[2], w[0], w[1]):
-        if abs(comp) > 1e-10:
-            if comp < 0.0:
-                n = -n
-            break
-    return n
-
-
 def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> FundamentalForms:
-    """Second fundamental form against the oriented metric unit normal.
+    """First and second fundamental forms and the oriented unit normal at a
+    point q = (u, v), with shapes (2, 2), (2, 2) and (3,), or at an (N, 2)
+    grid, with shapes (N, 2, 2), (N, 2, 2) and (N, 3).
 
     B_ab = g(nabla_{X_a} X_b, xi) with ambient Christoffels and the exact
     second derivatives X_uu = (f'' cos v, f'' sin v, g''),
     X_uv = (-f' sin v, f' cos v, 0) and X_vv = (-f cos v, -f sin v, 0); B_uv
-    is computed once, so B is symmetric.  The point is embedded once (one
-    height evaluation) and its metric built once, for the first form and
-    the normal alike.
+    is computed once, so B is symmetric.  The metric unit normal xi is
+    oriented by the sign of its omega^3 value, falling back to omega^1 then
+    omega^2 where earlier ones vanish.  One call evaluates the height g
+    once, `metric_tensor` once and `christoffel` once, whatever the number
+    of points; a failed check reports its first point in grid order.
     """
-    u, v = float(q[0]), float(q[1])
-    point, jac = embed(profile, (u, v))
-    g = metric_tensor(params, point)
-    first = _pullback(jac, g)
-    xi = _unit_normal(params, g, point, jac)
-    gxi = g @ xi
-    gam = christoffel(params, point)
+    patch, single = _patch(params, profile, q)
+    g, jac, point = patch.metric, patch.jac, patch.point
+    n_points = len(point)
+    x_u, x_v = jac[:, :, 0], jac[:, :, 1]
+    r = g @ jac
+    n = np.cross(r[:, :, 0], r[:, :, 1])
+    norm2 = np.einsum("ni,nij,nj->n", n, g, n)
+    if (norm2 <= 1e-28).any():
+        raise ValueError("degenerate tangent plane")
+    xi = n / np.sqrt(norm2)[:, None]
+    d, al, be = _metric_scalars(params, point[:, 0], point[:, 1])
+    w1, w2 = xi[:, 0] / d, xi[:, 1] / d
+    w3 = al * xi[:, 0] + be * xi[:, 1] + xi[:, 2]
+    comp = np.where(np.abs(w3) > 1e-10, w3, np.where(np.abs(w1) > 1e-10, w1, w2))
+    xi[comp < -1e-10] *= -1.0
+    gxi = np.einsum("nij,nj->ni", g, xi)
+    # Gamma^k_ij paired with g xi: B_ab = X_ab . g xi + X_a^i M_ij X_b^j
+    mgam = np.einsum("nkij,nk->nij", christoffel(params, point), gxi)
 
-    fppv = profile.fpp(u)
-    x_uu = np.array([fppv * math.cos(v), fppv * math.sin(v), profile.gpp(u)])
-    # X_u and X hold f' (cos v, sin v) and f (cos v, sin v)
-    x_uv = np.array([-jac[1, 0], jac[0, 0], 0.0])
-    x_vv = np.array([-point[0], -point[1], 0.0])
+    fppv, gppv = _profile_values(patch.u, profile.fpp, profile.gpp)
+    x_uu = np.stack([fppv * patch.cos_v, fppv * patch.sin_v, gppv], axis=-1)
+    zero = np.zeros(n_points)
+    x_uv = np.stack([-x_u[:, 1], x_u[:, 0], zero], axis=-1)
+    x_vv = np.stack([-point[:, 0], -point[:, 1], zero], axis=-1)
 
     def b(dd, a, c):
-        return float((dd + np.einsum("kij,i,j->k", gam, jac[:, a], jac[:, c])) @ gxi)
+        return np.einsum("nk,nk->n", dd, gxi) + np.einsum("ni,nij,nj->n", a, mgam, c)
 
-    b_uv = b(x_uv, 0, 1)
-    second = np.array([[b(x_uu, 0, 0), b_uv], [b_uv, b(x_vv, 1, 1)]])
-    return FundamentalForms(first=first, second=second, normal=xi)
+    second = np.empty((n_points, 2, 2))
+    second[:, 0, 0] = b(x_uu, x_u, x_u)
+    second[:, 0, 1] = second[:, 1, 0] = b(x_uv, x_u, x_v)
+    second[:, 1, 1] = b(x_vv, x_v, x_v)
+    if single:
+        return FundamentalForms(first=patch.first[0], second=second[0], normal=xi[0])
+    return FundamentalForms(first=patch.first, second=second, normal=xi)
 
 
-def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8):
-    """(u, v) sample pairs covering the profile domain, less 2% at each end."""
+def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8) -> np.ndarray:
+    """(nu nv, 2) array of (u, v) rows covering the profile domain, less 2%
+    at each end; u-major, nv rows per u."""
     lo, hi = profile.u_domain
     pad = 0.02 * (hi - lo)
     us = np.linspace(lo + pad, hi - pad, nu)
     vs = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)
-    return [(u, v) for u in us for v in vs]
+    return np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def totally_geodesic_defect(params: MetricParams, profile: RevolutionProfile, sample_grid) -> float:
     """Max over the grid of the max-norm of the second fundamental form."""
-    worst = 0.0
-    for q in sample_grid:
-        forms = second_fundamental_form(params, profile, q)
-        worst = max(worst, float(np.max(np.abs(forms.second))))
-    return worst
+    forms = second_fundamental_form(params, profile, np.reshape(sample_grid, (-1, 2)))
+    return float(np.max(np.abs(forms.second)))
 
 
 def umbilic_defect(params: MetricParams, profile: RevolutionProfile, sample_grid) -> float:
     """Max over the grid of || B - (tr_g B / 2) I || (max-norm).
 
     Zero exactly on umbilical surfaces; the trace is taken with the
-    inverse of the first fundamental form.
+    inverse of the first fundamental form, in closed 2x2 form:
+    tr_g B = (G B_uu - 2 F B_uv + E B_vv) / (E G - F^2).
     """
-    worst = 0.0
-    for q in sample_grid:
-        forms = second_fundamental_form(params, profile, q)
-        first_inv = np.linalg.inv(forms.first)
-        lam = 0.5 * float(np.trace(first_inv @ forms.second))
-        dev = forms.second - lam * forms.first
-        worst = max(worst, float(np.max(np.abs(dev))))
-    return worst
+    forms = second_fundamental_form(params, profile, np.reshape(sample_grid, (-1, 2)))
+    a, b = forms.first, forms.second
+    e, f, g = a[:, 0, 0], a[:, 0, 1], a[:, 1, 1]
+    trace = (g * b[:, 0, 0] - 2.0 * f * b[:, 0, 1] + e * b[:, 1, 1]) / (e * g - f * f)
+    return float(np.max(np.abs(b - 0.5 * trace[:, None, None] * a)))
 
 
 def frobenius_scalar(params: MetricParams, p=None) -> float:
@@ -347,14 +380,17 @@ def surface_geodesic_integrate(
     else:
         t_out, y_out = ts, ys
 
-    n = len(t_out)
-    momenta = np.empty(n)
-    speeds = np.empty(n)
-    for i in range(n):
-        u, _, du, dv = y_out[i]
-        e0, f0, g0 = reference_form_coefficients(params, profile, u)
-        momenta[i] = 2.0 * g0 * dv + 2.0 * f0 * du
-        speeds[i] = math.sqrt(max(e0 * du * du + 2.0 * f0 * du * dv + g0 * dv * dv, 0.0))
+    # f, f' and g' once per row; p_v and the speed as array expressions
+    us = y_out[:, 0].tolist()
+    e0, f0, g0 = _form_coefficients(
+        params,
+        np.array([profile.f(u) for u in us]),
+        np.array([profile.fp(u) for u in us]),
+        np.array([profile.gp(u) for u in us]),
+    )
+    du, dv = y_out[:, 2], y_out[:, 3]
+    momenta = 2.0 * g0 * dv + 2.0 * f0 * du
+    speeds = np.sqrt(np.maximum(e0 * du * du + 2.0 * f0 * du * dv + g0 * dv * dv, 0.0))
     return SurfaceTrajectory(
         params=params,
         profile=profile,

@@ -8,8 +8,9 @@ metric matrix and the Killing fields: the oracles of the closed-form rhs
 and of the fused first integrals.  `curvature_fd`, `second_fundamental_form_fd` and
 `surface_rhs_fd` take by finite differences what the library computes in
 closed form: the curvature from the Christoffel symbols, the coordinate
-second derivatives of a surface from its tangents, and the u derivatives
-of the induced metric.  `meridian_profile_ode_residual` is the radius
+second derivatives of a surface from its tangents (one point at a time,
+with `embed` and `_unit_normal`), and the u derivatives of the induced
+metric.  `meridian_profile_ode_residual` is the radius
 equation of the profiles whose meridians are geodesics, against which
 `cvgeo.surfaces.meridian_is_geodesic` is checked.
 """
@@ -22,8 +23,8 @@ import numpy as np
 
 from cvgeo.connection import _gamma_entries, christoffel
 from cvgeo.profiles import RevolutionProfile
-from cvgeo.space import DomainError, MetricParams, _xyz, metric_tensor, require_in_domain
-from cvgeo.surfaces import _unit_normal, embed, reference_form_coefficients
+from cvgeo.space import DomainError, MetricParams, _xyz, coframe_values, metric_tensor, require_in_domain
+from cvgeo.surfaces import reference_form_coefficients
 from cvgeo.symmetry import KILLING_NAMES, killing_eval
 
 
@@ -133,6 +134,32 @@ def _jacobian(profile: RevolutionProfile, u: float, v: float) -> np.ndarray:
             [gpv, 0.0],
         ]
     )
+
+
+def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient point (with its height g(u)) and 3x2 Jacobian (columns X_u,
+    X_v) at q = (u, v), one point at a time."""
+    u, v = float(q[0]), float(q[1])
+    fv = profile.f(u)
+    return np.array([fv * math.cos(v), fv * math.sin(v), profile.g(u)]), _jacobian(profile, u, v)
+
+
+def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
+    """Metric unit normal for the metric g at point, oriented by the sign
+    of its omega^3 value (falling back to omega^1 then omega^2 where
+    earlier ones vanish)."""
+    n = np.cross(g @ jac[:, 0], g @ jac[:, 1])
+    norm2 = float(n @ g @ n)
+    if norm2 <= 1e-28:
+        raise ValueError("degenerate tangent plane")
+    n = n / math.sqrt(norm2)
+    w = coframe_values(params, point, n)
+    for comp in (w[2], w[0], w[1]):
+        if abs(comp) > 1e-10:
+            if comp < 0.0:
+                n = -n
+            break
+    return n
 
 
 def second_fundamental_form_fd(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:

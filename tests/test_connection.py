@@ -268,3 +268,38 @@ def test_sectional_degenerate_plane_raises():
 def test_state_speed_at_origin_is_euclidean():
     params = MetricParams(1.0, -0.5)
     assert state_speed(params, Point3(0, 0, 0), (3, 4, 0)) == pytest.approx(5.0, abs=1e-14)
+
+
+def test_array_points_match_one_point_calls():
+    # 20 parameter pairs x 100 points, among them l = 0, 4m = l^2 and m < 0
+    # with every fifth point at rho^2 = 0.999/|m|; an (..., 3) array gives
+    # each point's one-point result bit for bit
+    rng = np.random.default_rng(43)
+    pairs = [(0.0, 0.8), (0.0, -0.6), (1.4, 0.49), (-0.9, 0.2025), (1.1, -0.7), (-1.7, -1.3)]
+    pairs += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(14)]
+    for l, m in pairs:
+        params = MetricParams(l, m)
+        if m < 0.0:
+            rho2 = rng.uniform(0.0, 0.999, 100) / -m
+            rho2[::5] = 0.999 / -m
+        else:
+            rho2 = rng.uniform(0.0, 9.0, 100)
+        th = rng.uniform(0.0, 2.0 * math.pi, 100)
+        pts = np.stack([np.sqrt(rho2) * np.cos(th), np.sqrt(rho2) * np.sin(th), rng.uniform(-3, 3, 100)], axis=-1)
+        pts = pts.reshape(4, 25, 3)
+        g, gam = metric_tensor(params, pts), christoffel(params, pts)
+        assert g.shape == (4, 25, 3, 3) and gam.shape == (4, 25, 3, 3, 3)
+        for idx in np.ndindex(4, 25):
+            assert np.array_equal(g[idx], metric_tensor(params, pts[idx])), (l, m, idx)
+            assert np.array_equal(gam[idx], christoffel(params, pts[idx])), (l, m, idx)
+
+
+@pytest.mark.parametrize("fn", [metric_tensor, christoffel])
+def test_array_points_outside_the_disk_raise_for_the_first(fn):
+    params = MetricParams(0.5, -1.0)
+    pts = np.array([[0.1, 0.2, 0.0], [0.6, 0.9, 1.0], [0.3, 0.3, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(DomainError) as one:
+        fn(params, pts[1])
+    with pytest.raises(DomainError) as rows:
+        fn(params, pts)
+    assert str(rows.value) == str(one.value)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from battery import nearest_radius_extremum
-from oracles import meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
+from oracles import embed, meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
 import cvgeo.surfaces
 from cvgeo.audits import random_params, run_suite
 from cvgeo.connection import GeodesicState, integrate_geodesic
@@ -27,7 +27,6 @@ from cvgeo.space import DomainError, MetricParams, Point3, metric_tensor
 from cvgeo.surfaces import (
     SurfaceGeodesicState,
     default_grid,
-    embed,
     first_fundamental_form,
     frobenius_scalar,
     meridian_is_geodesic,
@@ -155,6 +154,10 @@ def test_second_form_embeds_and_builds_metric_once(monkeypatch):
     monkeypatch.setattr(cvgeo.surfaces, "metric_tensor", counted("metric_tensor", cvgeo.surfaces.metric_tensor))
     second_fundamental_form(params, prof, (0.3, 1.1))
     assert calls == {"g": 1, "metric_tensor": 1}
+    calls.clear()
+    forms = second_fundamental_form(params, prof, default_grid(prof, 2, 8))
+    assert forms.second.shape == (16, 2, 2)
+    assert calls == {"g": 1, "metric_tensor": 1}
 
 
 def test_second_form_keeps_height_unit_compatibility_check():
@@ -166,6 +169,36 @@ def test_second_form_keeps_height_unit_compatibility_check():
     assert prof.gp(1.0) == 1.0
     with pytest.raises(ValueError, match="not unit-compatible"):
         second_fundamental_form(MetricParams(1.0, 0.0), prof, (1.0, 0.0))
+    # a grid quadratures [lo, max u] once
+    with pytest.raises(ValueError, match="not unit-compatible"):
+        second_fundamental_form(MetricParams(1.0, 0.0), prof, [(0.5, 0.0), (1.0, 0.3)])
+
+
+def test_grid_forms_raise_for_the_first_point_outside_the_disk():
+    # f = u: the rows u = 1.1 and 1.3 leave the m = -1 disk f^2 < 1
+    params, prof = MetricParams(0.5, -1.0), slice_profile(0.0, (0.2, 1.5))
+    grid = [(0.5, 0.0), (1.1, 0.7), (0.6, 1.0), (1.3, 2.0)]
+    with pytest.raises(DomainError) as one:
+        second_fundamental_form(params, prof, grid[1])
+    for form in (second_fundamental_form, first_fundamental_form):
+        with pytest.raises(DomainError) as rows:
+            form(params, prof, grid)
+        assert str(rows.value) == str(one.value)
+
+
+def test_grid_forms_reject_a_degenerate_jacobian():
+    from cvgeo.profiles import RevolutionProfile
+
+    # f' = g' = 0 at u >= 0.5 only
+    kink = RevolutionProfile(
+        f=lambda u: 1.0, fp=lambda u: 0.0, fpp=lambda u: 0.0, g=lambda u: 0.0,
+        gp=lambda u: max(0.5 - u, 0.0), gpp=lambda u: 0.0, u_domain=(0.0, 1.0),
+    )
+    grid = [(0.2, 0.0), (0.7, 1.0)]
+    assert second_fundamental_form(MetricParams(0, 0), kink, grid[0]).second.shape == (2, 2)
+    for form in (second_fundamental_form, first_fundamental_form):
+        with pytest.raises(ValueError, match="degenerate surface Jacobian"):
+            form(MetricParams(0, 0), kink, grid)
 
 
 def test_product_slice_is_totally_geodesic():

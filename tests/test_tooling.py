@@ -44,13 +44,14 @@ NOT_PER_OP = {"cli.import_ms"}
 
 @pytest.mark.parametrize(
     "workload, run",
-    [("ensemble", "run_geodesic"), ("trace_cli", "run_cli_in_process")],
+    [("ensemble", "run_geodesic"), ("trace_cli", "run_cli_in_process"), ("surface_audit", "run_surface")],
 )
 def test_one_traced_operation_keeps_the_tracer_contract(tracer, workloads, workload, run):
     # the benchmark's self-checks, on one operation: the rhs closure is owned
     # by a module the tracer knows, one first_integrals call per annotated
     # row, and every layer the workload must exercise is nonzero
-    cycles = {"ensemble": workloads.ensemble_cycles, "trace_cli": workloads.cli_cycles}[workload]
+    cycles = {"ensemble": workloads.ensemble_cycles, "trace_cli": workloads.cli_cycles,
+              "surface_audit": workloads.surface_cycles}[workload]
     inp = next(itertools.chain.from_iterable(cycles(1)))
     trace = tracer.Tracer()
     with trace.installed():
@@ -58,7 +59,7 @@ def test_one_traced_operation_keeps_the_tracer_contract(tracer, workloads, workl
     assert res.failures == [] and res.malformed == []
     assert tracer.op_invariants(trace.counts, res) == []
     extra = {
-        "momentum_drift_max": 0.0,
+        "momentum_drift_max": res.momentum_drift if res.momentum_drift is not None else 0.0,
         "rows_out": res.rows_out,
         "stdout_bytes": res.stdout_bytes,
         "fail_ratio": 0.0,
