@@ -4,8 +4,8 @@ Classic six-stage Fehlberg 4(5) pair.  The fifth-order solution is
 propagated (local extrapolation) and the pair difference drives the step
 controller.  The stages are rows of one (6, d) array: each stage state,
 the new state and the error estimate are one matrix product of a tableau
-row with the stages before it.  Dense output between accepted steps is
-cubic Hermite on (y, f) at both ends.
+row, scaled by h once per attempt, with the stages before it.  Dense
+output between accepted steps is cubic Hermite on (y, f) at both ends.
 
 The stepper is generic over the state dimension; the geodesic integrators
 in `connection` and `surfaces` both run on it.
@@ -43,7 +43,6 @@ _E = np.array(
     ]
 )
 _N_STAGES = len(_B5)
-_A_ROWS = tuple(_A[i, :i] for i in range(_N_STAGES))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -64,9 +63,25 @@ class IntegrationError(RuntimeError):
     """The step budget was exhausted before reaching t_max."""
 
 
+def _rms_norm(y, y_new, err, tol: float) -> float:
+    """RMS of err / (tol + tol max(|y|, |y_new|)), summed in order on Python
+    floats: the value of numpy's add.reduce over the same terms.
+
+    Python's max skips a nan in y_new where numpy's maximum keeps it; err is
+    nan there as well, since _E is nonzero wherever _B5 is, so the norm is
+    nan either way.
+    """
+    s = 0.0
+    for a, b, e in zip(y.tolist(), y_new.tolist(), err.tolist()):
+        q = e / (tol + tol * max(abs(a), abs(b)))
+        s += q * q
+    return math.sqrt(s / len(y))
+
+
 def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
     """Integrate y' = rhs(y) from t=0 to t_max with local error <= tol.
 
+    rhs(y) returns a new array on every call; the knots keep it uncopied.
     guard(y) -> bool marks states that are still acceptable; a step landing
     on a rejected state is retried with a smaller h, and if h underflows
     near the obstruction the partial solution is returned with exit reason
@@ -86,8 +101,8 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
     t = 0.0
     f = np.asarray(rhs(y), dtype=float)
     ts = [0.0]
-    ys = [y.copy()]
-    fs = [f.copy()]
+    ys = [y]
+    fs = [f]
 
     def result(exit_reason):
         return np.array(ts), np.array(ys), np.array(fs), exit_reason
@@ -114,9 +129,10 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
                 return result("domain-exit")
             raise StepSizeUnderflow(f"step size underflow at t = {t!r}")
 
+        ha = h * _A
         try:
             for i in range(1, _N_STAGES):
-                k[i] = rhs(y + (h * _A_ROWS[i]) @ k[:i])
+                k[i] = rhs(y + ha[i, :i] @ k[:i])
         except guard_error:
             # a stage left the domain: a guard rejection that shrinks h
             guard_hit = True
@@ -128,9 +144,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
 
         y_new = y + (h * _B5) @ k
         err = (h * _E) @ k
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        r = err / sc
-        err_norm = math.sqrt(np.add.reduce(r * r) / len(r))  # RMS
+        err_norm = _rms_norm(y, y_new, err, tol)
 
         if err_norm <= 1.0:
             rejected = not guard(y_new)
@@ -152,7 +166,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
             k[0] = f
             ts.append(t)
             ys.append(y)
-            fs.append(f.copy())
+            fs.append(f)
             if guard_hit:
                 # accepted while skirting the guard: hold h steady and
                 # lift the suppression only after a clean acceptance

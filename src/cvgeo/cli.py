@@ -128,9 +128,8 @@ def _print_rows(header: str, rows) -> None:
     rows = np.asarray(rows, dtype=float)
     if not np.isfinite(rows).all():
         raise FloatingPointError("the output has a value that is not finite")
-    print(header)
-    for row in rows.tolist():
-        print(",".join(_fmt(v) for v in row))
+    # repr of a float from tolist() is _fmt of it; one write for all rows
+    print("\n".join([header, *(",".join(map(repr, row)) for row in rows.tolist())]))
 
 
 def _shell_exit_time(params: MetricParams, closed, ts, pos):

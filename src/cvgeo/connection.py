@@ -163,23 +163,41 @@ def _rhs_entries(l: float, m: float, y6) -> np.ndarray:
     With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
     K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)):
         ax = 2 m r vx - K vy,  ay = 2 m r vy + K vx,  az = (l/2) K r.
-    The state is read as numpy scalars, so overflow raises under errstate.
+    The state is read as Python floats, which numpy's errstate does not
+    watch, so a D or an acceleration that is not finite raises
+    FloatingPointError; from a finite state only an overflow makes one.
     """
-    x, yy = y6[0], y6[1]
-    vx, vy, vz = y6[3], y6[4], y6[5]
+    x, yy, _, vx, vy, vz = y6.tolist()
     D = 1.0 + m * (x * x + yy * yy)
+    if not math.isfinite(D):
+        raise FloatingPointError("overflow encountered in the geodesic rhs")
     if D <= 0.0:
         raise DomainError(f"metric degenerate: D = {D!r}")
     c = (yy * vx - x * vy) / D
     r = (x * vx + yy * vy) / D
     K = l * (vz + 0.5 * l * c) - 2.0 * m * c
     mr2 = 2.0 * m * r
-    return np.array([vx, vy, vz, mr2 * vx - K * vy, mr2 * vy + K * vx, 0.5 * l * K * r])
+    ax = mr2 * vx - K * vy
+    ay = mr2 * vy + K * vx
+    az = 0.5 * l * K * r
+    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
+        raise FloatingPointError("overflow encountered in the geodesic rhs")
+    return np.array([vx, vy, vz, ax, ay, az])
 
 
-def state_speed(params: MetricParams, point, velocity) -> float:
+def state_speed(params: MetricParams, point, velocity):
+    """Metric norm |v|_g of a velocity at a point.
+
+    point and velocity are one point and one vector, for a float, or (n, 3)
+    arrays of points and velocities, for an (n,) array: one `metric_tensor`
+    call and one stacked v g v product serve every row, and each entry is the
+    one-point call's, bit for bit.
+    """
     g = metric_tensor(params, point)
     v = np.asarray(velocity, dtype=float)
+    if _is_rows(point):
+        sq = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+        return np.sqrt(np.where(sq < 0.0, 0.0, sq))  # max(sq, 0.0), elementwise
     return math.sqrt(max(float(v @ g @ v), 0.0))
 
 
@@ -228,19 +246,17 @@ class Trajectory:
 
 
 def annotate_states(params: MetricParams, states) -> tuple[np.ndarray, np.ndarray]:
-    """Killing pairings (n, 4) and metric speeds (n,) of (x, y, z, vx, vy, vz) rows."""
+    """Killing pairings (n, 4) and metric speeds (n,) of (x, y, z, vx, vy, vz) rows.
+
+    The pairings take one `first_integrals` call per row, the speeds one
+    `state_speed` call for all rows.
+    """
     from .symmetry import first_integrals  # deferred: symmetry imports this module
 
-    n = len(states)
-    integrals = np.empty((n, 4))
-    speeds = np.empty(n)
-    for i in range(n):
-        pt = states[i, :3]
-        vel = states[i, 3:]
-        st = GeodesicState(Point3(*pt), vel)
-        integrals[i] = first_integrals(params, st)
-        speeds[i] = state_speed(params, pt, vel)
-    return integrals, speeds
+    integrals = np.empty((len(states), 4))
+    for i, row in enumerate(states):
+        integrals[i] = first_integrals(params, GeodesicState(Point3(*row[:3]), row[3:]))
+    return integrals, state_speed(params, states[:, :3], states[:, 3:])
 
 
 def integrate_geodesic(
@@ -260,7 +276,7 @@ def integrate_geodesic(
     require_in_domain(params, s0.point)
     if samples is not None and samples < 2:
         raise ValueError("samples must be at least 2")
-    l, m = params.l, params.m
+    l, m = float(params.l), float(params.m)  # the rhs runs on Python floats
 
     def rhs(y6):
         return _rhs_entries(l, m, y6)

@@ -12,7 +12,10 @@ second derivatives of a surface from its tangents (one point at a time,
 with `embed` and `_unit_normal`), and the u derivatives of the induced
 metric.  `meridian_profile_ode_residual` is the radius
 equation of the profiles whose meridians are geodesics, against which
-`cvgeo.surfaces.meridian_is_geodesic` is checked.
+`cvgeo.surfaces.meridian_is_geodesic` is checked.  `annotate_rows` is
+the row-at-a-time annotation, one `first_integrals` and one one-point
+`state_speed` call per row, against which the array speeds of
+`cvgeo.connection.annotate_states` are checked.
 """
 
 from __future__ import annotations
@@ -21,11 +24,19 @@ import math
 
 import numpy as np
 
-from cvgeo.connection import _gamma_entries, christoffel
+from cvgeo.connection import GeodesicState, _gamma_entries, christoffel, state_speed
 from cvgeo.profiles import RevolutionProfile
-from cvgeo.space import DomainError, MetricParams, _xyz, coframe_values, metric_tensor, require_in_domain
+from cvgeo.space import (
+    DomainError,
+    MetricParams,
+    Point3,
+    _xyz,
+    coframe_values,
+    metric_tensor,
+    require_in_domain,
+)
 from cvgeo.surfaces import reference_form_coefficients
-from cvgeo.symmetry import KILLING_NAMES, killing_eval
+from cvgeo.symmetry import KILLING_NAMES, first_integrals, killing_eval
 
 
 def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
@@ -69,6 +80,20 @@ def killing_pairings(params: MetricParams, state) -> np.ndarray:
     p = state.point
     gv = metric_tensor(params, p) @ np.asarray(state.velocity, dtype=float)
     return np.array([float(killing_eval(params, k, p) @ gv) for k in KILLING_NAMES])
+
+
+def annotate_rows(params: MetricParams, states) -> tuple[np.ndarray, np.ndarray]:
+    """Killing pairings (n, 4) and speeds (n,) of (x, y, z, vx, vy, vz) rows,
+    one row at a time; the oracle of `cvgeo.connection.annotate_states`."""
+    n = len(states)
+    integrals = np.empty((n, 4))
+    speeds = np.empty(n)
+    for i in range(n):
+        pt = states[i, :3]
+        vel = states[i, 3:]
+        integrals[i] = first_integrals(params, GeodesicState(Point3(*pt), vel))
+        speeds[i] = state_speed(params, pt, vel)
+    return integrals, speeds
 
 
 def meridian_profile_ode_residual(params: MetricParams, profile: RevolutionProfile, u: float) -> float:

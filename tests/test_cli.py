@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from cvgeo import _rk
 from cvgeo.cli import TRACE_HEADER, main
 from cvgeo.closed_forms import closed_form_geodesic, numeric_velocity
 from cvgeo.connection import BOUNDARY_MARGIN, annotate_states
-from cvgeo.space import MetricParams
+from cvgeo.space import MetricParams, SpaceClass, classify
 
 
 def run_cli(capsys, *argv):
@@ -352,6 +353,56 @@ def test_surface_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
     )
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("surface: step budget exhausted")
+
+
+# ------------------------------------------------------------- golden bytes
+
+# `geodesic --method both --t-max 10 --samples 201` for one (l, m, u, v, w)
+# per space class: the sha256 of stdout, the exit code and stderr.  The
+# bytes are those of the numpy build under test; another BLAS kernel may
+# round a matmul differently.  ProductSphere exits 1 because the gate
+# compares coordinates near the antipodal fiber (ROADMAP item 1).
+GOLDEN = {
+    "EuclideanFlat": (("0", "0", "0.6", "-0.8", "0.5"), 0,
+                      "eec8e3fa737f25218256921a2923809096b03003d3f66d6e2aa2241a32af88be",
+                      "2.6645352591003757e-15"),
+    "ProductSphere": (("0", "0.7", "0.6", "0.3", "0.8"), 1,
+                      "9c46a7751274860b38e68e23542c0265ff8978ce9a627d51e909d0b549bac395",
+                      "469.394427485764"),
+    "ProductHyperbolic": (("0", "-0.6", "0.5", "-0.4", "0.7"), 0,
+                          "a5f2780a0a44761bc57978ec6b8049bc3c0211978a070db6ba8d71a7e34a36ea",
+                          "1.982230896091508e-08"),
+    "Heisenberg": (("1.3", "0", "0.4", "-0.8", "0.6"), 0,
+                   "c70c0c69b0a15c283321f30dab7da1e21ad49e5579bfb779f28a637763577995",
+                   "9.387695065754542e-09"),
+    "ConstantPositive": (("1.2", "0.36", "0.7", "0.2", "-0.5"), 0,
+                         "ce0498dd677ad2ea33cfa7063ffeeef3572e169fe714c35c694366323cbebf73",
+                         "1.5002273867636973e-08"),
+    "SU2": (("1.3", "0.7", "0.4", "-0.8", "0.6"), 0,
+            "6300b3b204a92e22495e099c90e5e769ce978fd481bd7e8bc0d64ad9931692d0",
+            "1.6067480790304955e-08"),
+    "SL2R": (("0.8", "-0.6", "0.5", "-0.3", "0.4"), 0,
+             "49ada002be0810b68c45f6b2d812305d4f4c0d26dfa11b6b7dd9bef34ab4f749",
+             "2.0458668009704084e-08"),
+}
+
+
+def test_golden_covers_every_space_class():
+    assert set(GOLDEN) == {cls.value for cls in SpaceClass}
+    for name, ((l, m, *_), *_) in GOLDEN.items():
+        assert classify(MetricParams(float(l), float(m))).value == name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_geodesic_output_is_golden(capsys, monkeypatch, name):
+    (l, m, u, v, w), code, digest, disc = GOLDEN[name]
+    monkeypatch.delenv("CVGEO_TOL", raising=False)
+    got, out, err = run_cli(
+        capsys, "geodesic", "--l", l, "--m", m, "--u", u, "--v", v, "--w", w,
+        "--method", "both", "--t-max", "10", "--samples", "201",
+    )
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    assert err == f"max closed-vs-numeric discrepancy: {disc}\n"
 
 
 # ------------------------------------------------------------ input ranges

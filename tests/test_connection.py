@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import christoffel_fd, curvature_fd, koszul_rhs
+from oracles import annotate_rows, christoffel_fd, curvature_fd, koszul_rhs
 from cvgeo.audits import random_params, random_point
 from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
+    BOUNDARY_MARGIN,
     GeodesicState,
     _rhs_entries,
+    annotate_states,
     christoffel,
     curvature_tensor,
     frame_sectional,
@@ -17,7 +19,7 @@ from cvgeo.connection import (
     sectional_curvature,
     state_speed,
 )
-from cvgeo.space import DomainError, MetricParams, Point3, metric_tensor
+from cvgeo.space import DomainError, MetricParams, Point3, SpaceClass, classify, metric_tensor
 
 
 def state(x, y, z, vx, vy, vz):
@@ -108,6 +110,63 @@ def test_geodesic_rhs_matches_koszul_oracle():
 def test_geodesic_rhs_raises_where_metric_degenerates():
     with pytest.raises(DomainError):
         _rhs_entries(1.0, -1.0, np.array([1.0, 0.0, 0.0, 0.3, 0.2, 0.1]))
+
+
+def _rhs_numpy_scalars(l, m, y6):
+    """The closed-form rhs read as numpy scalars, whose overflow numpy's
+    errstate sees; the reference of `_rhs_entries`' non-finite contract."""
+    x, yy = y6[0], y6[1]
+    vx, vy, vz = y6[3], y6[4], y6[5]
+    D = 1.0 + m * (x * x + yy * yy)
+    if D <= 0.0:
+        raise DomainError(f"metric degenerate: D = {D!r}")
+    c = (yy * vx - x * vy) / D
+    r = (x * vx + yy * vy) / D
+    K = l * (vz + 0.5 * l * c) - 2.0 * m * c
+    mr2 = 2.0 * m * r
+    return np.array([vx, vy, vz, mr2 * vx - K * vy, mr2 * vy + K * vx, 0.5 * l * K * r])
+
+
+@pytest.mark.parametrize("errstate", [{}, {"over": "raise"}])
+@pytest.mark.parametrize("y6", [
+    [0.0, 0.0, 0.0, 1e200, 1e200, 1e200],  # the accelerations overflow
+    [1e200, 0.0, 0.0, 0.3, 0.2, 0.1],  # x^2 and D overflow
+    [1e-10, 0.0, 0.0, 1e160, 0.0, 1e160],  # K overflows, vy = 0 makes ax nan
+])
+def test_geodesic_rhs_overflow_raises(errstate, y6):
+    with np.errstate(**errstate), pytest.raises(FloatingPointError, match="overflow"):
+        _rhs_entries(1.0, 1.0, np.array(y6))
+
+
+def test_geodesic_rhs_huge_finite_result_does_not_raise():
+    y6 = np.array([0.0, 0.0, 0.0, 1e300, -1e300, 1e300])
+    assert np.array_equal(_rhs_entries(0.0, 0.0, y6), [1e300, -1e300, 1e300, 0.0, 0.0, 0.0])
+    y6 = np.array([0.5, -0.25, 0.0, 1e150, 1e150, -1e150])
+    assert np.all(np.isfinite(_rhs_entries(1.5, 0.75, y6)))
+
+
+def test_geodesic_rhs_raises_where_the_numpy_scalar_form_overflows():
+    # each value boundary-sized one time in four: where numpy scalars raise
+    # under errstate the float form raises FloatingPointError too
+    # (DomainError where they raise that), and elsewhere both give the same
+    # rhs bit for bit
+    rng = np.random.default_rng(47)
+    mags = np.array([0.0, 1e-300, 1e8, 1e77, 1e150, 1e154, 1e160, 1e200, 1e300])
+    raised = {FloatingPointError: 0, DomainError: 0}
+    for _ in range(4000):
+        values = np.where(rng.random(8) < 0.25, rng.choice(mags, 8), rng.uniform(0.0, 2.0, 8))
+        l, m, x, yy, z, vx, vy, vz = (values * rng.choice([-1.0, 1.0], 8)).tolist()
+        y6 = np.array([x, yy, z, vx, vy, vz])
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                ref = _rhs_numpy_scalars(l, m, y6)
+        except (FloatingPointError, DomainError) as exc:
+            raised[type(exc)] += 1
+            with pytest.raises(type(exc)):
+                _rhs_entries(l, m, y6)
+            continue
+        assert np.array_equal(_rhs_entries(l, m, y6).view(np.uint64), ref.view(np.uint64)), (l, m, y6)
+    assert all(200 < n < 2000 for n in raised.values()), raised
 
 
 def test_geodesic_rhs_velocity_homogeneity():
@@ -303,3 +362,55 @@ def test_array_points_outside_the_disk_raise_for_the_first(fn):
     with pytest.raises(DomainError) as rows:
         fn(params, pts)
     assert str(rows.value) == str(one.value)
+
+
+def test_state_speed_rows_match_one_point_calls():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        params = random_params(rng)
+        pts = np.array([random_point(params, rng).as_array() for _ in range(50)])
+        vel = rng.normal(size=(50, 3)) * rng.uniform(0.01, 10.0, (50, 1))
+        speeds = state_speed(params, pts, vel)
+        assert speeds.shape == (50,)
+        one = [state_speed(params, pts[i], vel[i]) for i in range(50)]
+        assert np.array_equal(speeds, one), params
+
+
+# One (l, m) per space class: l = 0 (m = 0, m > 0, m < 0), m = 0, 4m = l^2,
+# m > 0 and m < 0.
+CLASS_PARAMS = {
+    SpaceClass.EUCLIDEAN_FLAT: (0.0, 0.0),
+    SpaceClass.PRODUCT_SPHERE: (0.0, 0.7),
+    SpaceClass.PRODUCT_HYPERBOLIC: (0.0, -0.6),
+    SpaceClass.HEISENBERG: (1.3, 0.0),
+    SpaceClass.CONSTANT_POSITIVE: (1.2, 0.36),
+    SpaceClass.SU2: (1.3, 0.7),
+    SpaceClass.SL2R: (0.8, -0.6),
+}
+
+
+@pytest.mark.parametrize("cls", list(SpaceClass))
+def test_annotate_states_matches_the_row_oracle(cls):
+    # the knots and dense rows of three geodesics, one of them from off the
+    # origin, and for m < 0 the knots of one that ends in the stop shell,
+    # where D ~ 1e-9
+    l, m = CLASS_PARAMS[cls]
+    params = MetricParams(l, m)
+    assert classify(params) is cls
+    rng = np.random.default_rng(59)
+    rows = []
+    for start in ((0.0, 0.0, 0.0), (0.3, -0.2, 0.5), (0.0, 0.0, 0.0)):
+        v0 = rng.normal(size=3)
+        traj = integrate_geodesic(params, GeodesicState(Point3(*start), v0), 20.0)
+        rows += [traj.states, traj.sample(np.linspace(0.0, traj.t_end, 101))]
+    if m < 0.0:
+        radial = integrate_geodesic(params, state(0, 0, 0, 1.0, 0.5, 0.2), 30.0)
+        assert radial.exit_reason == "domain-exit"
+        rows.append(radial.states)
+        shell = radial.states[-1, :2] @ radial.states[-1, :2]
+        assert 1.0 + m * shell < 10.0 * BOUNDARY_MARGIN
+    states = np.concatenate(rows)
+    integrals, speeds = annotate_states(params, states)
+    ref_integrals, ref_speeds = annotate_rows(params, states)
+    assert np.array_equal(integrals, ref_integrals)
+    assert np.array_equal(speeds, ref_speeds)

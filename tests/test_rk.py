@@ -90,3 +90,54 @@ def test_fifth_order_solution_integrates_a_quartic_exactly():
     assert len(ts) > 10
     assert np.max(np.abs(ys[:, 0] - ts)) < 1e-14
     assert np.max(np.abs(ys[:, 1] - ts**5 / 5.0)) < 1e-13
+
+
+def test_error_weights_are_nonzero_wherever_the_solution_weights_are():
+    # so the error estimate is nan wherever the new state is: a stage that
+    # is not finite can never be accepted
+    assert np.all((_rk._E != 0.0) | (_rk._B5 == 0.0))
+
+
+def test_a_nan_stage_quarters_the_step():
+    # the first attempt (h = 0.01) gets nan in one component at stage 3;
+    # its error norm is nan, so the retry runs at h / 4 and is accepted
+    calls = 0
+
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        out = -y
+        if calls == 3:
+            out[1] = np.nan
+        return out
+
+    ts, ys, _, reason = rk45(rhs, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=())
+    assert reason == "complete"
+    assert ts[1] == 0.0025
+    assert np.all(np.isfinite(ys))
+    clean, _, _, _ = rk45(lambda y: -y, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=())
+    assert clean[1] == 0.01
+
+
+def _numpy_norm(y, y_new, err, tol):
+    """The error norm as numpy array operations; the reference of `_rms_norm`."""
+    r = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+    return math.sqrt(np.add.reduce(r * r) / len(r))
+
+
+def test_rms_norm_is_numpys_bit_for_bit():
+    # state dimensions 4 (surface) and 6 (geodesic), magnitudes over 40
+    # decades, and a nan or an infinity in one component now and then
+    rng = np.random.default_rng(61)
+    for i in range(10000):
+        d = 4 if i % 2 else 6
+        y, y_new, err = (rng.normal(size=d) * 10.0 ** rng.uniform(-20, 20, d) for _ in range(3))
+        if i % 50 == 0:
+            j = int(rng.integers(d))
+            y_new[j] = err[j] = rng.choice([np.nan, np.inf])
+        tol = 10.0 ** rng.uniform(-14, -2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _numpy_norm(y, y_new, err, tol)
+        norm = _rk._rms_norm(y, y_new, err, tol)
+        assert norm == ref or (math.isnan(norm) and math.isnan(ref)), (y, y_new, err, tol)
+
