@@ -156,18 +156,19 @@ def christoffel(params: MetricParams, p) -> np.ndarray:
     return np.array(_gamma_entries(params.l, params.m, x, y))
 
 
-def _rhs_entries(l: float, m: float, y6) -> np.ndarray:
+def _rhs_entries(l: float, m: float, y6) -> tuple:
     """Geodesic rhs (v, a) in closed form: the E(kappa, tau) frame connection
     written back in coordinates by the chain rule.
 
     With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
     K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)):
         ax = 2 m r vx - K vy,  ay = 2 m r vy + K vx,  az = (l/2) K r.
-    The state is read as Python floats, which numpy's errstate does not
-    watch, so a D or an acceleration that is not finite raises
-    FloatingPointError; from a finite state only an overflow makes one.
+    The state is a list of Python floats and the result a tuple of them.
+    numpy's errstate does not watch Python floats, so a D or an
+    acceleration that is not finite raises FloatingPointError; from a
+    finite state only an overflow makes one.
     """
-    x, yy, _, vx, vy, vz = y6.tolist()
+    x, yy, _, vx, vy, vz = y6
     D = 1.0 + m * (x * x + yy * yy)
     if not math.isfinite(D):
         raise FloatingPointError("overflow encountered in the geodesic rhs")
@@ -182,7 +183,7 @@ def _rhs_entries(l: float, m: float, y6) -> np.ndarray:
     az = 0.5 * l * K * r
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
         raise FloatingPointError("overflow encountered in the geodesic rhs")
-    return np.array([vx, vy, vz, ax, ay, az])
+    return vx, vy, vz, ax, ay, az
 
 
 def state_speed(params: MetricParams, point, velocity):
@@ -254,7 +255,7 @@ def annotate_states(params: MetricParams, states) -> tuple[np.ndarray, np.ndarra
     from .symmetry import first_integrals  # deferred: symmetry imports this module
 
     integrals = np.empty((len(states), 4))
-    for i, row in enumerate(states):
+    for i, row in enumerate(states.tolist()):
         integrals[i] = first_integrals(params, GeodesicState(Point3(*row[:3]), row[3:]))
     return integrals, state_speed(params, states[:, :3], states[:, 3:])
 

@@ -116,7 +116,7 @@ def require_in_domain(params: MetricParams, p) -> None:
     if not in_domain(params, p):
         x, y, _ = _xyz(p)
         raise DomainError(
-            f"point with x^2+y^2 = {x * x + y * y!r} outside the disk "
+            f"point with x^2+y^2 = {float(x * x + y * y)!r} outside the disk "
             f"x^2+y^2 < {-1.0 / params.m!r} (m = {params.m!r})"
         )
 

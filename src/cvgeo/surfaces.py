@@ -284,7 +284,11 @@ def frobenius_scalar(params: MetricParams, p=None) -> float:
     return -d0 * d0 * coeff
 
 
-def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4):
+def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4) -> tuple:
+    """Surface-geodesic rhs (u', v', u'', v'') at (u, v, u', v'), a list of
+    Python floats, as a tuple of them.  numpy's errstate does not watch
+    Python floats, so an acceleration that is not finite raises
+    FloatingPointError."""
     u, _, du, dv = y4
     if not profile.contains(u):
         raise DomainError(f"u = {u!r} outside the profile domain")
@@ -325,7 +329,9 @@ def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4):
 
     acc_u = -(g_u_uu * du * du + 2.0 * g_u_uv * du * dv + g_u_vv * dv * dv)
     acc_v = -(g_v_uu * du * du + 2.0 * g_v_uv * du * dv + g_v_vv * dv * dv)
-    return np.array([du, dv, acc_u, acc_v])
+    if not (math.isfinite(acc_u) and math.isfinite(acc_v)):
+        raise FloatingPointError("overflow encountered in the surface rhs")
+    return du, dv, acc_u, acc_v
 
 
 @dataclass

@@ -100,7 +100,7 @@ def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
     p = state.point
     require_in_domain(params, p)
     x, y, _ = _xyz(p)
-    vx, vy, vz = np.asarray(state.velocity, dtype=float)
+    vx, vy, vz = map(float, state.velocity)
     l, m = params.l, params.m
     D = 1.0 + m * (x * x + y * y)
     al = 0.5 * l * y / D

@@ -15,7 +15,10 @@ equation of the profiles whose meridians are geodesics, against which
 `cvgeo.surfaces.meridian_is_geodesic` is checked.  `annotate_rows` is
 the row-at-a-time annotation, one `first_integrals` and one one-point
 `state_speed` call per row, against which the array speeds of
-`cvgeo.connection.annotate_states` are checked.
+`cvgeo.connection.annotate_states` are checked.  `rk45_matrix` is the
+RK4(5) stepper with the stages as rows of one (6, d) array and each stage
+state one matrix product, against which the Python-float stages of
+`cvgeo._rk.rk45` are checked.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 
 import numpy as np
 
+from cvgeo import _rk
 from cvgeo.connection import GeodesicState, _gamma_entries, christoffel, state_speed
 from cvgeo.profiles import RevolutionProfile
 from cvgeo.space import (
@@ -259,3 +263,108 @@ def surface_rhs_fd(params: MetricParams, profile: RevolutionProfile, y4):
     acc_u = -(g_u_uu * du * du + 2.0 * g_u_uv * du * dv + g_u_vv * dv * dv)
     acc_v = -(g_v_uu * du * du + 2.0 * g_v_uv * du * dv + g_v_vv * dv * dv)
     return np.array([du, dv, acc_u, acc_v])
+
+
+# Fehlberg tableau as numpy arrays, written out apart from `cvgeo._rk`
+_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.25, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 32.0, 9.0 / 32.0, 0.0, 0.0, 0.0],
+        [1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0, 0.0, 0.0],
+        [439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0, 0.0],
+        [-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0],
+    ]
+)
+_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
+_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
+_E = _B5 - _B4
+
+
+def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
+    """`cvgeo._rk.rk45` with numpy stages: the same controller, guards, budgets
+    and exits, but each stage state, the new state and the error estimate
+    are one matrix product of an h-scaled tableau row with the stages, so
+    they round as the BLAS build does.  rhs gets each state as a list of
+    floats, as in `rk45`."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if t_max <= 0.0:
+        raise ValueError("t_max must be positive")
+    y = np.asarray(y0, dtype=float).copy()
+    if not guard(y):
+        raise ValueError("initial state rejected by the domain guard")
+    t = 0.0
+    f = np.asarray(rhs(y.tolist()), dtype=float)
+    ts, ys, fs = [0.0], [y], [f]
+
+    def result(exit_reason):
+        return np.array(ts), np.array(ys), np.array(fs), exit_reason
+
+    h_max = max(t_max / 8.0, 1e-8)
+    h = min(1e-2, t_max / 100.0, h_max)
+    k = np.empty((len(_B5), len(y)))
+    k[0] = f
+    guard_hit = False
+    guard_budget = _rk.GUARD_BUDGET
+    for _ in range(_rk.MAX_STEPS):
+        if t >= t_max - 1e-14 * max(1.0, t_max):
+            return result("complete")
+        h = min(h, t_max - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            if guard_budget < _rk.GUARD_BUDGET:
+                return result("domain-exit")
+            raise _rk.StepSizeUnderflow(f"step size underflow at t = {t!r}")
+
+        ha = h * _A
+        try:
+            for i in range(1, len(_B5)):
+                k[i] = rhs((y + ha[i, :i] @ k[:i]).tolist())
+        except guard_error:
+            guard_hit = True
+            guard_budget -= 1
+            if guard_budget <= 0:
+                return result("domain-exit")
+            h *= 0.25
+            continue
+
+        y_new = y + (h * _B5) @ k
+        err = (h * _E) @ k
+        r = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        err_norm = math.sqrt(np.add.reduce(r * r) / len(r))
+
+        if err_norm <= 1.0:
+            rejected = not guard(y_new)
+            if not rejected:
+                try:
+                    f_new = np.asarray(rhs(y_new.tolist()), dtype=float)
+                except guard_error:
+                    rejected = True
+            if rejected:
+                guard_hit = True
+                guard_budget -= 1
+                if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
+                    return result("domain-exit")
+                h *= 0.5
+                continue
+            t += h
+            y = y_new
+            f = f_new
+            k[0] = f
+            ts.append(t)
+            ys.append(y)
+            fs.append(f)
+            if guard_hit:
+                guard_hit = False
+                h = min(h, h_max)
+                continue
+            if err_norm == 0.0:
+                factor = _rk._MAX_FACTOR
+            else:
+                factor = min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** -0.2))
+            h = min(h * factor, h_max)
+        elif not np.isfinite(err_norm):
+            h *= 0.25
+        else:
+            h *= max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** -0.2)
+    raise _rk.IntegrationError(f"step budget exhausted at t = {t!r} < t_max = {t_max!r}")

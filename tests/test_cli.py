@@ -359,31 +359,34 @@ def test_surface_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
 
 # `geodesic --method both --t-max 10 --samples 201` for one (l, m, u, v, w)
 # per space class: the sha256 of stdout, the exit code and stderr.  The
-# bytes are those of the numpy build under test; another BLAS kernel may
-# round a matmul differently.  ProductSphere exits 1 because the gate
-# compares coordinates near the antipodal fiber (ROADMAP item 1).
+# knots, states and integrals are Python-float arithmetic in a fixed order,
+# but the speed column goes through the stacked v g v matmul of
+# `state_speed`, which rounds unlike an in-order sum on about a third of
+# random rows: another BLAS kernel may change those bytes.  ProductSphere
+# exits 1 because the gate compares coordinates near the antipodal fiber
+# (ROADMAP item 1).
 GOLDEN = {
     "EuclideanFlat": (("0", "0", "0.6", "-0.8", "0.5"), 0,
-                      "eec8e3fa737f25218256921a2923809096b03003d3f66d6e2aa2241a32af88be",
+                      "431d3531b5d25a77cdf06976b062e5f9d7abb50a74837b8739c2dfa9732a57c3",
                       "2.6645352591003757e-15"),
     "ProductSphere": (("0", "0.7", "0.6", "0.3", "0.8"), 1,
-                      "9c46a7751274860b38e68e23542c0265ff8978ce9a627d51e909d0b549bac395",
-                      "469.394427485764"),
+                      "50e2e627c28e884e4129d5a7cd6e934ba5569f250b51f6d8cb2e32977f23063c",
+                      "469.39340875844937"),
     "ProductHyperbolic": (("0", "-0.6", "0.5", "-0.4", "0.7"), 0,
-                          "a5f2780a0a44761bc57978ec6b8049bc3c0211978a070db6ba8d71a7e34a36ea",
-                          "1.982230896091508e-08"),
+                          "e76d9fb4ec37f5e08e92a38bf7de574801486e14ee74fb0c0fe055347597975f",
+                          "1.982230890540393e-08"),
     "Heisenberg": (("1.3", "0", "0.4", "-0.8", "0.6"), 0,
-                   "c70c0c69b0a15c283321f30dab7da1e21ad49e5579bfb779f28a637763577995",
-                   "9.387695065754542e-09"),
+                   "a02fe2788d59c27f6e135c53ffa54da2f33a5831ca57e2cb1887579c90c6a2da",
+                   "9.387692845308493e-09"),
     "ConstantPositive": (("1.2", "0.36", "0.7", "0.2", "-0.5"), 0,
-                         "ce0498dd677ad2ea33cfa7063ffeeef3572e169fe714c35c694366323cbebf73",
-                         "1.5002273867636973e-08"),
+                         "d529883e85cd81f76f8b47d312d277f8516c73762ae82b219f5278fd544b9b71",
+                         "1.5002273805186928e-08"),
     "SU2": (("1.3", "0.7", "0.4", "-0.8", "0.6"), 0,
-            "6300b3b204a92e22495e099c90e5e769ce978fd481bd7e8bc0d64ad9931692d0",
-            "1.6067480790304955e-08"),
+            "ae31a9a426387f31b5bb4723e958fb2c086aba954410e2473960d6c355081006",
+            "1.6067480596015926e-08"),
     "SL2R": (("0.8", "-0.6", "0.5", "-0.3", "0.4"), 0,
-             "49ada002be0810b68c45f6b2d812305d4f4c0d26dfa11b6b7dd9bef34ab4f749",
-             "2.0458668009704084e-08"),
+             "fb5ba3b4c6e0c3ad2eec8e8074fd1af8f1c68789ffa54e4907e0593c2d27b5be",
+             "2.045866803745966e-08"),
 }
 
 
@@ -421,9 +424,16 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
          "too large for a central-difference velocity"),
         (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms",
           "--a", "1e300", "--grid", "2"), "input out of range: the output has a value that is not finite"),
+        (("surface", "--l", "1", "--m", "0.5", "--profile", "cone", "--u-min", "0.2", "--u-max", "2",
+          "--su", "1", "--sdu", "1e200", "--action", "geodesic"),
+         "surface: input out of range: overflow encountered in the surface rhs"),
+        (("geodesic", "--l=5e-324", "--m=-1e154", "--u=1", "--v=-1", "--w=-1e300", "--method", "closed",
+          "--t-max", "1", "--samples", "21"),
+         "geodesic: point with x^2+y^2 = 1e-154 outside the disk x^2+y^2 < 1e-154 (m = -1e+154)"),
     ],
     ids=["geodesic-samples", "surface-samples", "audit-count", "audit-seed", "surface-u-order",
-         "closed-velocity-huge-t", "surface-forms-not-finite"],
+         "closed-velocity-huge-t", "surface-forms-not-finite", "surface-geodesic-overflow",
+         "domain-error-plain-float"],
 )
 def test_out_of_range_input_is_invalid(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

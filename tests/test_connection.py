@@ -79,7 +79,7 @@ def test_metric_compatibility():
 
 def test_geodesic_rhs_flat():
     params = MetricParams(0.0, 0.0)
-    rhs = _rhs_entries(params.l, params.m, state(1, 2, 3, -1, 0.5, 2).as_array())
+    rhs = np.array(_rhs_entries(params.l, params.m, state(1, 2, 3, -1, 0.5, 2).as_array().tolist()))
     assert np.allclose(rhs, [-1, 0.5, 2, 0, 0, 0])
 
 
@@ -100,7 +100,7 @@ def test_geodesic_rhs_matches_koszul_oracle():
         th = rng.uniform(0.0, 2.0 * math.pi)
         vel = rng.normal(size=3) * rng.uniform(0.1, 3.0)
         y6 = np.array([rho * math.cos(th), rho * math.sin(th), rng.uniform(-3.0, 3.0), *vel])
-        exact = _rhs_entries(l, m, y6)
+        exact = np.array(_rhs_entries(l, m, y6.tolist()))
         oracle = koszul_rhs(l, m, y6)
         scale = max(float(np.max(np.abs(oracle))), 1.0)
         assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale, (l, m, y6)
@@ -109,7 +109,7 @@ def test_geodesic_rhs_matches_koszul_oracle():
 
 def test_geodesic_rhs_raises_where_metric_degenerates():
     with pytest.raises(DomainError):
-        _rhs_entries(1.0, -1.0, np.array([1.0, 0.0, 0.0, 0.3, 0.2, 0.1]))
+        _rhs_entries(1.0, -1.0, [1.0, 0.0, 0.0, 0.3, 0.2, 0.1])
 
 
 def _rhs_numpy_scalars(l, m, y6):
@@ -135,14 +135,14 @@ def _rhs_numpy_scalars(l, m, y6):
 ])
 def test_geodesic_rhs_overflow_raises(errstate, y6):
     with np.errstate(**errstate), pytest.raises(FloatingPointError, match="overflow"):
-        _rhs_entries(1.0, 1.0, np.array(y6))
+        _rhs_entries(1.0, 1.0, y6)
 
 
 def test_geodesic_rhs_huge_finite_result_does_not_raise():
-    y6 = np.array([0.0, 0.0, 0.0, 1e300, -1e300, 1e300])
-    assert np.array_equal(_rhs_entries(0.0, 0.0, y6), [1e300, -1e300, 1e300, 0.0, 0.0, 0.0])
-    y6 = np.array([0.5, -0.25, 0.0, 1e150, 1e150, -1e150])
-    assert np.all(np.isfinite(_rhs_entries(1.5, 0.75, y6)))
+    y6 = [0.0, 0.0, 0.0, 1e300, -1e300, 1e300]
+    assert np.array_equal(np.array(_rhs_entries(0.0, 0.0, y6)), [1e300, -1e300, 1e300, 0.0, 0.0, 0.0])
+    y6 = [0.5, -0.25, 0.0, 1e150, 1e150, -1e150]
+    assert np.all(np.isfinite(np.array(_rhs_entries(1.5, 0.75, y6))))
 
 
 def test_geodesic_rhs_raises_where_the_numpy_scalar_form_overflows():
@@ -163,9 +163,10 @@ def test_geodesic_rhs_raises_where_the_numpy_scalar_form_overflows():
         except (FloatingPointError, DomainError) as exc:
             raised[type(exc)] += 1
             with pytest.raises(type(exc)):
-                _rhs_entries(l, m, y6)
+                _rhs_entries(l, m, y6.tolist())
             continue
-        assert np.array_equal(_rhs_entries(l, m, y6).view(np.uint64), ref.view(np.uint64)), (l, m, y6)
+        got = np.array(_rhs_entries(l, m, y6.tolist()))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (l, m, y6)
     assert all(200 < n < 2000 for n in raised.values()), raised
 
 
@@ -173,8 +174,8 @@ def test_geodesic_rhs_velocity_homogeneity():
     params = MetricParams(1.3, -0.4)
     s1 = state(0.3, 0.1, 0.0, 0.4, -0.2, 0.7)
     s2 = state(0.3, 0.1, 0.0, 0.8, -0.4, 1.4)
-    a1 = _rhs_entries(params.l, params.m, s1.as_array())[3:]
-    a2 = _rhs_entries(params.l, params.m, s2.as_array())[3:]
+    a1 = np.array(_rhs_entries(params.l, params.m, s1.as_array().tolist()))[3:]
+    a2 = np.array(_rhs_entries(params.l, params.m, s2.as_array().tolist()))[3:]
     assert np.max(np.abs(a2 - 4.0 * a1)) < 1e-12
 
 
@@ -185,7 +186,7 @@ def test_geodesic_rhs_matches_second_difference_of_trajectory():
     dt = traj.ts[1] - traj.ts[0]
     pos = traj.positions()
     acc_fd = (pos[i + 1] - 2 * pos[i] + pos[i - 1]) / dt**2
-    acc = _rhs_entries(params.l, params.m, traj.states[i])[3:]
+    acc = np.array(_rhs_entries(params.l, params.m, traj.states[i].tolist()))[3:]
     assert np.max(np.abs(acc_fd - acc)) < 1e-4
 
 

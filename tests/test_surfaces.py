@@ -1,9 +1,6 @@
 import dataclasses
-import importlib.util
 import math
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,14 +491,22 @@ def test_surface_rhs_matches_fd_oracle():
             assert np.max(np.abs(exact - surface_rhs_fd(params, prof, y4))) < 1e-7 * scale
 
 
-def test_surface_geodesics_match_fd_oracle_rhs(monkeypatch):
+@pytest.mark.parametrize("errstate", [{}, {"over": "raise"}])
+@pytest.mark.parametrize("y4", [
+    [1.0, 0.0, 1e200, 0.5],  # u'^2 overflows
+    [1.0, 0.0, 0.5, 1e200],  # v'^2 overflows
+    [1.0, 0.0, 1e160, 1e160],  # u' v' overflows
+])
+def test_surface_rhs_overflow_raises(errstate, y4):
+    # the state is Python floats, which errstate does not watch
+    prof = cone(0.5, (0.2, 2.0))
+    with np.errstate(**errstate), pytest.raises(FloatingPointError, match="overflow encountered in the surface rhs"):
+        cvgeo.surfaces._surface_rhs(MetricParams(1.0, 0.5), prof, y4)
+
+
+def test_surface_geodesics_match_fd_oracle_rhs(monkeypatch, bench_workloads):
     # the 100 surface geodesics of the benchmark's surface_audit workload, seed 1
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    cycles = workloads.surface_cycles(1)
+    cycles = bench_workloads.surface_cycles(1)
     cases = []
     for _ in range(100):
         (inp,) = next(cycles)
