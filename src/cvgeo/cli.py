@@ -335,7 +335,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     except ArithmeticError as exc:  # FloatingPointError, OverflowError
-        print(f"{args.command}: input out of range: {exc}", file=sys.stderr)
+        # a Python-float ** overflow carries (errno, text) as its args
+        text = exc.args[-1] if exc.args else exc
+        print(f"{args.command}: input out of range: {text}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, StepSizeUnderflow, IntegrationError) as exc:
         # ValueError: invalid input, DomainError and BranchDomainError included

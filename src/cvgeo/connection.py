@@ -1,16 +1,13 @@
 """Levi-Civita connection, curvature and the numeric geodesic integrator.
 
-Christoffel symbols are assembled from closed-form partial derivatives of
-the metric components (rational functions of x and y; the metric does not
-depend on z) through the Koszul formula, with the exact inverse metric from
-the orthonormal frame; surfaces and the Killing defects use them.  The
-curvature tensor is the closed form of the E(kappa, tau) spaces.
-
-The geodesic rhs is closed form too: the E(kappa, tau) frame connection
-written back in coordinates, a few scalar operations per evaluation.  The
-rhs from the Koszul symbols is its oracle, and finite differences check
-the symbols and the curvature; these cross-checks live with the tests
-(`tests/oracles.py`).
+The connection has one formulation: the frame connection of the
+E(kappa, tau) spaces (kappa = 4m, tau = l/2) written back in coordinates.
+The geodesic rhs is its acceleration, a few scalar operations per
+evaluation, and the Christoffel symbols are its polarised form; surfaces
+and the Killing defects use them.  The curvature tensor is the closed form
+of the E(kappa, tau) spaces.  The Koszul symbols, the rhs from them and
+finite differences of the metric and of the symbols are the oracles of
+these closed forms; they live with the tests (`tests/oracles.py`).
 
 The geodesic integrator is the adaptive embedded Runge-Kutta 4(5) stepper
 from `_rk`, default tolerance 1e-10, with cubic Hermite dense output.  It
@@ -74,66 +71,42 @@ class GeodesicState:
 
 
 def _gamma_entries(l: float, m: float, x: float, y: float):
-    """Gamma^k_ij as nested lists, from analytic metric partials.
+    """Gamma^k_ij as nested tuples: the frame connection of `_rhs_entries`,
+    polarised.
 
-    Metric components: g = [[Q + a^2, a b, a], [a b, Q + b^2, b], [a, b, 1]]
-    with Q = 1/D^2, a = l y / (2D), b = -l x / (2D), D = 1 + m (x^2 + y^2).
+    With D = 1 + m rho^2, r = (x, y, 0)/D, s = l^2/2 - 2m and
+    K = (s y/D, -s x/D, l), writing ab for the tensor product a (x) b:
+        Gamma^x = -m (r e_x + e_x r) + (K e_y + e_y K)/2
+        Gamma^y = -m (r e_y + e_y r) - (K e_x + e_x K)/2
+        Gamma^z = -(l/4) (K r + r K)
+    so -Gamma^k(v, v) is the acceleration of `_rhs_entries`, whose r and K
+    are r(v) and K(v).  x and y are floats, or arrays on which every entry
+    is computed elementwise.
     """
-    rho2 = x * x + y * y
-    D = 1.0 + m * rho2
+    D = 1.0 + m * (x * x + y * y)
     if isinstance(D, np.ndarray):  # arrays of x and y: the first degenerate point
         bad = D[D <= 0.0]
         if bad.size:
             raise DomainError(f"metric degenerate: D = {float(bad[0])!r}")
     elif D <= 0.0:
         raise DomainError(f"metric degenerate: D = {D!r}")
-    D2 = D * D
-    al = 0.5 * l * y / D
-    be = -0.5 * l * x / D
-    iD2 = 1.0 / D2
-    iD3 = iD2 / D
-    qx = -4.0 * m * x * iD3
-    qy = -4.0 * m * y * iD3
-    ax = -l * m * x * y * iD2
-    ay = 0.5 * l * (D - 2.0 * m * y * y) * iD2
-    bx = -0.5 * l * (D - 2.0 * m * x * x) * iD2
-    by = l * m * x * y * iD2
-
-    gxy_x = ax * be + al * bx
-    gxy_y = ay * be + al * by
-    dgx = (
-        (qx + 2.0 * al * ax, gxy_x, ax),
-        (gxy_x, qx + 2.0 * be * bx, bx),
-        (ax, bx, 0.0),
+    rx = x / D
+    ry = y / D
+    s = 0.5 * l * l - 2.0 * m
+    kx = s * ry
+    ky = -s * rx
+    hl = 0.5 * l
+    ql = -0.25 * l
+    x_xy = -m * ry + 0.5 * kx  # k_ij names Gamma^k_ij
+    y_xy = -m * rx - 0.5 * ky
+    z_xy = ql * (kx * ry + rx * ky)
+    z_xz = ql * l * rx
+    z_yz = ql * l * ry
+    return (
+        ((-2.0 * m * rx, x_xy, 0.0), (x_xy, ky, hl), (0.0, hl, 0.0)),
+        ((-kx, y_xy, -hl), (y_xy, -2.0 * m * ry, 0.0), (-hl, 0.0, 0.0)),
+        ((2.0 * ql * kx * rx, z_xy, z_xz), (z_xy, 2.0 * ql * ky * ry, z_yz), (z_xz, z_yz, 0.0)),
     )
-    dgy = (
-        (qy + 2.0 * al * ay, gxy_y, ay),
-        (gxy_y, qy + 2.0 * be * by, by),
-        (ay, by, 0.0),
-    )
-    zero3 = (0.0, 0.0, 0.0)
-    dg = (dgx, dgy, (zero3, zero3, zero3))
-
-    gi = (
-        (D2, 0.0, -0.5 * D * l * y),
-        (0.0, D2, 0.5 * D * l * x),
-        (-0.5 * D * l * y, 0.5 * D * l * x, 1.0 + 0.25 * l * l * rho2),
-    )
-
-    gam = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    for k in range(3):
-        gik = gi[k]
-        for i in range(3):
-            dgi = dg[i]
-            for j in range(i, 3):
-                dgj = dg[j]
-                s = 0.0
-                for a in range(3):
-                    s += gik[a] * (dgi[j][a] + dgj[i][a] - dg[a][i][j])
-                s *= 0.5
-                gam[k][i][j] = s
-                gam[k][j][i] = s
-    return gam
 
 
 def christoffel(params: MetricParams, p) -> np.ndarray:
@@ -161,7 +134,8 @@ def _rhs_entries(l: float, m: float, y6) -> tuple:
     written back in coordinates by the chain rule.
 
     With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
-    K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)):
+    K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)); r and K are the
+    r(v) and K(v) of `_gamma_entries`, where K(v) = l vz + s c:
         ax = 2 m r vx - K vy,  ay = 2 m r vy + K vx,  az = (l/2) K r.
     The state is a list of Python floats and the result a tuple of them.
     numpy's errstate does not watch Python floats, so a D or an
@@ -217,7 +191,8 @@ class Trajectory:
     collapses (D ~ 1e-9) and the metric entries reach ~1/D^2, so the
     integral and speed annotations there are ill-conditioned in the state;
     they are reported as computed.  Away from the shell (D bounded below)
-    they are constant to integrator accuracy.
+    they are constant to integrator accuracy.  A "complete" m < 0 run can
+    end inside the shell too, and there its integrals are rounding noise.
     """
 
     params: MetricParams

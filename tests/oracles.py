@@ -1,11 +1,13 @@
 """Independent cross-checks of library quantities; used by the tests only.
 
-`christoffel_fd` rebuilds the Christoffel symbols from finite differences
-of the metric and a numeric inverse, independent of the analytic partials
-of `cvgeo.connection`.  `koszul_rhs` is the geodesic rhs from the Koszul
-Christoffel symbols and `killing_pairings` the first integrals from the
-metric matrix and the Killing fields: the oracles of the closed-form rhs
-and of the fused first integrals.  `curvature_fd`, `second_fundamental_form_fd` and
+`koszul_christoffel_entries` assembles the Christoffel symbols by the
+Koszul formula from analytic partials of the metric and the exact inverse
+metric, and `christoffel_fd` from finite differences of the metric and a
+numeric inverse: the oracles of the closed-form frame connection in
+`cvgeo.connection`.  `koszul_rhs` is the geodesic rhs from the Koszul
+symbols and `killing_pairings` the first integrals from the metric matrix
+and the Killing fields: the oracles of the closed-form rhs and of the
+fused first integrals.  `curvature_fd`, `second_fundamental_form_fd` and
 `surface_rhs_fd` take by finite differences what the library computes in
 closed form: the curvature from the Christoffel symbols, the coordinate
 second derivatives of a surface from its tangents (one point at a time,
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from cvgeo import _rk
-from cvgeo.connection import GeodesicState, _gamma_entries, christoffel, state_speed
+from cvgeo.connection import GeodesicState, christoffel, state_speed
 from cvgeo.profiles import RevolutionProfile
 from cvgeo.space import (
     DomainError,
@@ -60,12 +62,76 @@ def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, brack)
 
 
+def koszul_christoffel_entries(l: float, m: float, x: float, y: float):
+    """Gamma^k_ij as nested lists, from analytic metric partials through the
+    Koszul formula; the oracle of the closed-form `connection._gamma_entries`.
+
+    Metric components: g = [[Q + a^2, a b, a], [a b, Q + b^2, b], [a, b, 1]]
+    with Q = 1/D^2, a = l y / (2D), b = -l x / (2D), D = 1 + m (x^2 + y^2).
+    """
+    rho2 = x * x + y * y
+    D = 1.0 + m * rho2
+    if isinstance(D, np.ndarray):  # arrays of x and y: the first degenerate point
+        bad = D[D <= 0.0]
+        if bad.size:
+            raise DomainError(f"metric degenerate: D = {float(bad[0])!r}")
+    elif D <= 0.0:
+        raise DomainError(f"metric degenerate: D = {D!r}")
+    D2 = D * D
+    al = 0.5 * l * y / D
+    be = -0.5 * l * x / D
+    iD2 = 1.0 / D2
+    iD3 = iD2 / D
+    qx = -4.0 * m * x * iD3
+    qy = -4.0 * m * y * iD3
+    ax = -l * m * x * y * iD2
+    ay = 0.5 * l * (D - 2.0 * m * y * y) * iD2
+    bx = -0.5 * l * (D - 2.0 * m * x * x) * iD2
+    by = l * m * x * y * iD2
+
+    gxy_x = ax * be + al * bx
+    gxy_y = ay * be + al * by
+    dgx = (
+        (qx + 2.0 * al * ax, gxy_x, ax),
+        (gxy_x, qx + 2.0 * be * bx, bx),
+        (ax, bx, 0.0),
+    )
+    dgy = (
+        (qy + 2.0 * al * ay, gxy_y, ay),
+        (gxy_y, qy + 2.0 * be * by, by),
+        (ay, by, 0.0),
+    )
+    zero3 = (0.0, 0.0, 0.0)
+    dg = (dgx, dgy, (zero3, zero3, zero3))
+
+    gi = (
+        (D2, 0.0, -0.5 * D * l * y),
+        (0.0, D2, 0.5 * D * l * x),
+        (-0.5 * D * l * y, 0.5 * D * l * x, 1.0 + 0.25 * l * l * rho2),
+    )
+
+    gam = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for k in range(3):
+        gik = gi[k]
+        for i in range(3):
+            dgi = dg[i]
+            for j in range(i, 3):
+                dgj = dg[j]
+                s = 0.0
+                for a in range(3):
+                    s += gik[a] * (dgi[j][a] + dgj[i][a] - dg[a][i][j])
+                s *= 0.5
+                gam[k][i][j] = s
+                gam[k][j][i] = s
+    return gam
+
+
 def koszul_rhs(l: float, m: float, y6) -> np.ndarray:
     """Geodesic rhs (v, -Gamma^k_ij v^i v^j) from the Koszul Christoffel
     symbols; the oracle of the closed-form `connection._rhs_entries`."""
     x, yy = y6[0], y6[1]
     vx, vy, vz = y6[3], y6[4], y6[5]
-    gam = _gamma_entries(l, m, x, yy)
+    gam = koszul_christoffel_entries(l, m, x, yy)
     acc = [0.0, 0.0, 0.0]
     for k in range(3):
         gk = gam[k]
@@ -123,10 +189,10 @@ def meridian_profile_ode_residual(params: MetricParams, profile: RevolutionProfi
 def curvature_fd(params: MetricParams, p) -> np.ndarray:
     """Coordinate curvature R[i, j, k, l] = g(R(d_i, d_j) d_k, d_l).
 
-    Built from analytic Christoffels with fourth-order central differences
-    of the symbols at step 1e-4 (the symbols do not depend on z, so the z
-    derivative is zero).  Its truncation error grows like (1e-4 / r)^4 with
-    r the distance to the m < 0 disk boundary.
+    Built from the closed-form Christoffels with fourth-order central
+    differences of the symbols at step 1e-4 (the symbols do not depend on
+    z, so the z derivative is zero).  Its truncation error grows like
+    (1e-4 / r)^4 with r the distance to the m < 0 disk boundary.
     """
     require_in_domain(params, p)
     x, y, z = _xyz(p)

@@ -430,10 +430,16 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
         (("geodesic", "--l=5e-324", "--m=-1e154", "--u=1", "--v=-1", "--w=-1e300", "--method", "closed",
           "--t-max", "1", "--samples", "21"),
          "geodesic: point with x^2+y^2 = 1e-154 outside the disk x^2+y^2 < 1e-154 (m = -1e+154)"),
+        (("geodesic", "--l=1e300", "--m=1", "--u=1", "--v=-0.5", "--w=-1.3", "--t-max=1", "--samples=21",
+          "--method=both"),
+         "geodesic: input out of range: Numerical result out of range"),
+        (("surface", "--l=2", "--m=1e308", "--profile=slice", "--action=geodesic", "--su=0.3",
+          "--sdu=-1e300", "--sdv=0.3", "--t-max=1", "--samples=21"),
+         "surface: input out of range: Numerical result out of range"),
     ],
     ids=["geodesic-samples", "surface-samples", "audit-count", "audit-seed", "surface-u-order",
          "closed-velocity-huge-t", "surface-forms-not-finite", "surface-geodesic-overflow",
-         "domain-error-plain-float"],
+         "domain-error-plain-float", "geodesic-power-overflow", "surface-power-overflow"],
 )
 def test_out_of_range_input_is_invalid(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import annotate_rows, christoffel_fd, curvature_fd, koszul_rhs
+from oracles import (
+    annotate_rows,
+    christoffel_fd,
+    curvature_fd,
+    koszul_christoffel_entries,
+    koszul_rhs,
+)
 from cvgeo.audits import random_params, random_point
 from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
@@ -104,6 +110,14 @@ def test_geodesic_rhs_matches_koszul_oracle():
         oracle = koszul_rhs(l, m, y6)
         scale = max(float(np.max(np.abs(oracle))), 1.0)
         assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale, (l, m, y6)
+        # the symbols against the Koszul ones, and contracted with v against the rhs
+        gam = christoffel(MetricParams(l, m), y6[:3])
+        gam_oracle = np.array(koszul_christoffel_entries(l, m, y6[0], y6[1]))
+        scale = max(float(np.max(np.abs(gam_oracle))), 1.0)
+        assert np.max(np.abs(gam - gam_oracle)) <= 1e-12 * scale, (l, m, y6)
+        acc = -np.einsum("kij,i,j->k", gam, vel, vel)
+        scale = max(float(np.max(np.abs(exact[3:]))), 1.0)
+        assert np.max(np.abs(acc - exact[3:])) <= 1e-12 * scale, (l, m, y6)
     assert n_hyperbolic > 300
 
 
