@@ -9,10 +9,10 @@ of the E(kappa, tau) spaces.  The Koszul symbols, the rhs from them and
 finite differences of the metric and of the symbols are the oracles of
 these closed forms; they live with the tests (`tests/oracles.py`).
 
-The geodesic integrator is the adaptive embedded Runge-Kutta 4(5) stepper
-from `_rk`, default tolerance 1e-10, with cubic Hermite dense output.  It
-is the independent oracle against which every closed-form geodesic of this
-package is checked.
+The geodesic integrator is the adaptive stepper of `_rk` with the
+Dormand-Prince 8(5,3) pair, default tolerance 1e-10, with degree-7
+Hermite dense output.  It is the independent oracle against which every
+closed-form geodesic of this package is checked.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def integrate_geodesic(
     """Integrate the geodesic from s0 over [0, t_max].
 
     With `samples` given, the trajectory rows sit on a uniform time grid
-    (cubic Hermite dense output); otherwise the accepted integration steps
+    (degree-7 Hermite dense output); otherwise the accepted integration steps
     are returned.  For m < 0 the run stops with exit_reason "domain-exit"
     when the path comes within BOUNDARY_MARGIN of the disk boundary.
     """
@@ -269,7 +269,7 @@ def integrate_geodesic(
             return max(abs(y6[0]), abs(y6[1]), abs(y6[2])) < CHART_BOUND
 
     ts, ys, fs, exit_reason = _rk.rk45(
-        rhs, s0.as_array(), t_max, tol, guard=guard, guard_error=DomainError
+        rhs, s0.as_array(), t_max, tol, guard=guard, guard_error=DomainError, pair=_rk.DOP853
     )
     if samples is None:
         t_out, y_out = ts, ys

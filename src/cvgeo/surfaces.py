@@ -378,7 +378,7 @@ def surface_geodesic_integrate(
         return lo + margin <= y4[0] <= hi - margin
 
     ts, ys, fs, exit_reason = _rk.rk45(
-        rhs, s0.as_array(), t_max, tol, guard=guard, guard_error=DomainError
+        rhs, s0.as_array(), t_max, tol, guard=guard, guard_error=DomainError, pair=_rk.FEHLBERG45
     )
     if samples is not None:
         t_out = np.linspace(0.0, ts[-1], samples)

@@ -176,15 +176,17 @@ def nearest_radius_extremum(profile) -> float:
 def run_case(case: Case, tol: float = ORACLE_TOL) -> dict:
     """Integrate the oracle at accepted steps and compare the closed form.
 
-    Returns the trajectory, the closed form, the sup-norm deviation over
-    the knots, relative first-integral and speed drifts, and the
-    containment residual along the oracle path.
+    Returns the trajectory, the closed form, the sup-norm deviations over
+    the knots and over 401 dense-output samples, relative first-integral
+    and speed drifts, and the containment residual along the oracle path.
     """
     params = case.params
     v0 = np.array(case.v0, dtype=float)
     traj = integrate_geodesic(params, GeodesicState(Point3(0.0, 0.0, 0.0), v0), case.horizon, tol=tol)
     cf = closed_form_geodesic(params, case.v0)
     dev = float(np.max(np.abs(cf.position(traj.ts) - traj.positions())))
+    t_dense = np.linspace(0.0, traj.t_end, 401)
+    dense_dev = float(np.max(np.abs(cf.position(t_dense) - traj.sample(t_dense)[:, :3])))
 
     i0 = traj.integrals[0]
     scale = max(float(np.max(np.abs(i0))), float(traj.speeds[0]))
@@ -205,6 +207,7 @@ def run_case(case: Case, tol: float = ORACLE_TOL) -> dict:
         "trajectory": traj,
         "closed": cf,
         "deviation": dev,
+        "dense_deviation": dense_dev,
         "integral_drift": integral_drift,
         "speed_drift": speed_drift,
         "containment": containment,

@@ -18,9 +18,10 @@ equation of the profiles whose meridians are geodesics, against which
 the row-at-a-time annotation, one `first_integrals` and one one-point
 `state_speed` call per row, against which the array speeds of
 `cvgeo.connection.annotate_states` are checked.  `rk45_matrix` is the
-RK4(5) stepper with the stages as rows of one (6, d) array and each stage
-state one matrix product, against which the Python-float stages of
-`cvgeo._rk.rk45` are checked.
+embedded Runge-Kutta stepper with the stages as rows of one (s, d) array,
+each stage state one matrix product, and the DOP853 coefficients taken
+from scipy, against which the Python-float stages of `cvgeo._rk.rk45` are
+checked for both of its pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from cvgeo import _rk
 from cvgeo.connection import GeodesicState, christoffel, state_speed
@@ -332,7 +335,7 @@ def surface_rhs_fd(params: MetricParams, profile: RevolutionProfile, y4):
 
 
 # Fehlberg tableau as numpy arrays, written out apart from `cvgeo._rk`
-_A = np.array(
+_F45_A = np.array(
     [
         [0.0, 0.0, 0.0, 0.0, 0.0],
         [0.25, 0.0, 0.0, 0.0, 0.0],
@@ -342,17 +345,44 @@ _A = np.array(
         [-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0],
     ]
 )
-_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
-_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
-_E = _B5 - _B4
+_F45_B5 = np.array([16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0])
+_F45_B4 = np.array([25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0])
+_F45_E = _F45_B5 - _F45_B4
 
 
-def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
+def _fehlberg_norm(k, h, scale):
+    """RMS of the scaled b5 - b4 estimate."""
+    r = ((h * _F45_E) @ k) / scale
+    return math.sqrt(np.add.reduce(r * r) / len(r))
+
+
+def _dop853_norm(k, h, scale):
+    """Hairer's combined estimate, as scipy's DOP853 computes it."""
+    e5 = (_dop853.E5[:-1] @ k) / scale
+    e3 = (_dop853.E3[:-1] @ k) / scale
+    s5 = np.add.reduce(e5 * e5)
+    s3 = np.add.reduce(e3 * e3)
+    if s5 == 0.0 and s3 == 0.0:
+        return 0.0
+    return h * s5 / math.sqrt((s5 + 0.01 * s3) * len(scale))
+
+
+# Each pair of `cvgeo._rk`: the stage weights (row i for stage i),
+# the solution weights and the error norm.  The DOP853 coefficients are
+# scipy's arrays.
+_MATRIX_PAIRS = {
+    _rk.FEHLBERG45: (_F45_A, _F45_B5, _fehlberg_norm),
+    _rk.DOP853: (_dop853.A[:_dop853.N_STAGES, :_dop853.N_STAGES - 1], _dop853.B, _dop853_norm),
+}
+
+
+def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair):
     """`cvgeo._rk.rk45` with numpy stages: the same controller, guards, budgets
-    and exits, but each stage state, the new state and the error estimate
-    are one matrix product of an h-scaled tableau row with the stages, so
-    they round as the BLAS build does.  rhs gets each state as a list of
-    floats, as in `rk45`."""
+    and exits, but each stage state and the new state are one matrix product
+    of an h-scaled tableau row with the stages, so they round as the BLAS
+    build does, and the error norm is that pair's estimator over numpy
+    arrays.  rhs gets each state as a list of floats, as in `rk45`."""
+    a, b, error_norm = _MATRIX_PAIRS[pair]
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if t_max <= 0.0:
@@ -367,13 +397,14 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
     def result(exit_reason):
         return np.array(ts), np.array(ys), np.array(fs), exit_reason
 
+    exponent = -1.0 / (pair.error_order + 1)
     h_max = max(t_max / 8.0, 1e-8)
     h = min(1e-2, t_max / 100.0, h_max)
-    k = np.empty((len(_B5), len(y)))
+    k = np.empty((len(b), len(y)))
     k[0] = f
     guard_hit = False
     guard_budget = _rk.GUARD_BUDGET
-    for _ in range(_rk.MAX_STEPS):
+    for _ in range(_rk.MAX_EVALS // pair.stages):
         if t >= t_max - 1e-14 * max(1.0, t_max):
             return result("complete")
         h = min(h, t_max - t)
@@ -382,9 +413,9 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
                 return result("domain-exit")
             raise _rk.StepSizeUnderflow(f"step size underflow at t = {t!r}")
 
-        ha = h * _A
+        ha = h * a
         try:
-            for i in range(1, len(_B5)):
+            for i in range(1, len(b)):
                 k[i] = rhs((y + ha[i, :i] @ k[:i]).tolist())
         except guard_error:
             guard_hit = True
@@ -394,10 +425,8 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
             h *= 0.25
             continue
 
-        y_new = y + (h * _B5) @ k
-        err = (h * _E) @ k
-        r = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-        err_norm = math.sqrt(np.add.reduce(r * r) / len(r))
+        y_new = y + (h * b) @ k
+        err_norm = error_norm(k, h, tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
 
         if err_norm <= 1.0:
             rejected = not guard(y_new)
@@ -427,10 +456,10 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error):
             if err_norm == 0.0:
                 factor = _rk._MAX_FACTOR
             else:
-                factor = min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** -0.2))
+                factor = min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** exponent))
             h = min(h * factor, h_max)
         elif not np.isfinite(err_norm):
             h *= 0.25
         else:
-            h *= max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** -0.2)
+            h *= max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** exponent)
     raise _rk.IntegrationError(f"step budget exhausted at t = {t!r} < t_max = {t_max!r}")

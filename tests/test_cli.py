@@ -339,14 +339,14 @@ def test_geodesic_integrator_failure_is_invalid_input(capsys, u, message):
 
 
 def test_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
-    monkeypatch.setattr(_rk, "MAX_STEPS", 20)
+    monkeypatch.setattr(_rk, "MAX_EVALS", 120)
     code, out, err = run_cli(capsys, *GEODESIC, "--u", "1", "--t-max", "1e9")
     assert code == 65 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("geodesic: step budget exhausted")
 
 
 def test_surface_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
-    monkeypatch.setattr(_rk, "MAX_STEPS", 20)
+    monkeypatch.setattr(_rk, "MAX_EVALS", 120)
     code, out, err = run_cli(
         capsys, "surface", "--l", "1", "--m", "0.5", "--profile", "cylinder",
         "--u-min", "-8", "--u-max", "8", "--action", "geodesic", "--t-max", "1e9",
@@ -367,26 +367,26 @@ def test_surface_geodesic_step_budget_is_invalid_input(capsys, monkeypatch):
 # (ROADMAP item 1).
 GOLDEN = {
     "EuclideanFlat": (("0", "0", "0.6", "-0.8", "0.5"), 0,
-                      "431d3531b5d25a77cdf06976b062e5f9d7abb50a74837b8739c2dfa9732a57c3",
-                      "2.6645352591003757e-15"),
+                      "4e96c525ff4de6c25e980b7fa64d7904d228661f3eddc949ce6528d0feb85e2a",
+                      "5.329070518200751e-15"),
     "ProductSphere": (("0", "0.7", "0.6", "0.3", "0.8"), 1,
-                      "50e2e627c28e884e4129d5a7cd6e934ba5569f250b51f6d8cb2e32977f23063c",
-                      "469.39340875844937"),
+                      "06e0cc995d5dc331a70c853cc55644f68bf56eacad796421379136ab3724f1aa",
+                      "24.39670699450653"),
     "ProductHyperbolic": (("0", "-0.6", "0.5", "-0.4", "0.7"), 0,
-                          "e76d9fb4ec37f5e08e92a38bf7de574801486e14ee74fb0c0fe055347597975f",
-                          "1.982230890540393e-08"),
+                          "7640c56d3a30205b62dd56c121fbbef1435b7e1d67b241f5bb729cfeeb3d9d50",
+                          "5.566922589572698e-09"),
     "Heisenberg": (("1.3", "0", "0.4", "-0.8", "0.6"), 0,
-                   "a02fe2788d59c27f6e135c53ffa54da2f33a5831ca57e2cb1887579c90c6a2da",
-                   "9.387692845308493e-09"),
+                   "4e299564992f532f0262eae9958785d0d13eb0c3925a0ae4db7a84d894a78ce4",
+                   "3.331624531810462e-09"),
     "ConstantPositive": (("1.2", "0.36", "0.7", "0.2", "-0.5"), 0,
-                         "d529883e85cd81f76f8b47d312d277f8516c73762ae82b219f5278fd544b9b71",
-                         "1.5002273805186928e-08"),
+                         "0b52a422d398dc6843754908d33280b307fb006de8e871b9116550b2f08fa806",
+                         "1.0004211459246903e-08"),
     "SU2": (("1.3", "0.7", "0.4", "-0.8", "0.6"), 0,
-            "ae31a9a426387f31b5bb4723e958fb2c086aba954410e2473960d6c355081006",
-            "1.6067480596015926e-08"),
+            "5ef57a412057727f039cac96a077385535d78c252435bf266ab281668340f7e0",
+            "9.418798740945533e-09"),
     "SL2R": (("0.8", "-0.6", "0.5", "-0.3", "0.4"), 0,
-             "fb5ba3b4c6e0c3ad2eec8e8074fd1af8f1c68789ffa54e4907e0593c2d27b5be",
-             "2.045866803745966e-08"),
+             "191b05c8911e6c684e251fb7e31282be07753e5629723256201d2a8d3d550bb1",
+             "7.303580462636461e-09"),
 }
 
 

@@ -77,7 +77,7 @@ def argvs(draw):
 def test_main_exit_code_is_documented(argv, tol):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_rk, "MAX_STEPS", 200)  # a huge --t-max ends after 200 steps
+        mp.setattr(_rk, "MAX_EVALS", 1200)  # a huge --t-max ends after 1200 rhs evaluations
         if tol is None:
             mp.delenv("CVGEO_TOL", raising=False)
         else:

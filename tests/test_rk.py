@@ -1,5 +1,6 @@
-"""Each exit of the `rk45` stepper, on one-dimensional problems, and the
-stepper against its numpy-stage oracle on geodesics and surface geodesics."""
+"""Each exit of the `rk45` stepper for both pairs, on one-dimensional
+problems, the stepper against its numpy-stage oracle on geodesics and
+surface geodesics, and the Hermite dense output."""
 
 import itertools
 import math
@@ -29,22 +30,27 @@ def decay(y):
     return [-v for v in y]
 
 
+PAIRS = (_rk.FEHLBERG45, _rk.DOP853)
+
+
 def test_complete_decay():
-    ts, ys, fs, reason = rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=())
-    assert reason == "complete"
-    assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0, abs=1e-13)
-    assert np.all(np.diff(ts) > 0.0)
-    assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
-    assert np.array_equal(fs, -ys)
+    for pair in PAIRS:
+        ts, ys, fs, reason = rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+        assert reason == "complete"
+        assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0, abs=1e-13)
+        assert np.all(np.diff(ts) > 0.0)
+        assert abs(ys[-1, 0] - math.exp(-1.0)) < 1e-9
+        assert np.array_equal(fs, -ys)
 
 
 def test_domain_exit_from_guard():
-    ts, ys, _, reason = rk45(
-        lambda y: [1.0], [0.0], 1.0, 1e-10, guard=lambda y: y[0] < 0.5, guard_error=()
-    )
-    assert reason == "domain-exit"
-    assert np.all(ys[:, 0] < 0.5)
-    assert ts[-1] == pytest.approx(0.5, abs=1e-9)
+    for pair in PAIRS:
+        ts, ys, _, reason = rk45(
+            lambda y: [1.0], [0.0], 1.0, 1e-10, guard=lambda y: y[0] < 0.5, guard_error=(), pair=pair
+        )
+        assert reason == "domain-exit"
+        assert np.all(ys[:, 0] < 0.5)
+        assert ts[-1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_domain_exit_from_guard_error_in_a_stage():
@@ -53,10 +59,11 @@ def test_domain_exit_from_guard_error_in_a_stage():
             raise OutOfDomain(f"y = {y[0]!r}")
         return [1.0]
 
-    ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain)
-    assert reason == "domain-exit"
-    assert np.all(ys[:, 0] < 0.5)
-    assert ts[-1] == pytest.approx(0.5, abs=1e-9)
+    for pair in PAIRS:
+        ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain, pair=pair)
+        assert reason == "domain-exit"
+        assert np.all(ys[:, 0] < 0.5)
+        assert ts[-1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_guard_error_of_another_type_propagates():
@@ -65,70 +72,164 @@ def test_guard_error_of_another_type_propagates():
             raise OutOfDomain("out")
         return [1.0]
 
-    with pytest.raises(OutOfDomain):
-        rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=())
+    for pair in PAIRS:
+        with pytest.raises(OutOfDomain):
+            rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
 
 
 def test_step_size_underflow_at_blow_up():
     # y' = y^2, y(0) = 1 blows up at t = 1, before t_max
-    with pytest.raises(StepSizeUnderflow, match="step size underflow"):
-        rk45(lambda y: [v * v for v in y], [1.0], 2.0, 1e-6, guard=always, guard_error=())
+    for pair in PAIRS:
+        with pytest.raises(StepSizeUnderflow, match="step size underflow"):
+            rk45(lambda y: [v * v for v in y], [1.0], 2.0, 1e-6, guard=always, guard_error=(), pair=pair)
 
 
 def test_step_budget_exhausted(monkeypatch):
-    monkeypatch.setattr(_rk, "MAX_STEPS", 20)
-    with pytest.raises(IntegrationError, match="step budget exhausted"):
-        rk45(lambda y: [math.cos(v) for v in y], [0.0], 100.0, 1e-10, guard=always, guard_error=())
+    # 120 evaluations: 20 Fehlberg attempts, 10 DOP853 attempts
+    monkeypatch.setattr(_rk, "MAX_EVALS", 120)
+    for pair in PAIRS:
+        with pytest.raises(IntegrationError, match="step budget exhausted"):
+            rk45(lambda y: [math.cos(v) for v in y], [0.0], 100.0, 1e-10, guard=always, guard_error=(),
+                 pair=pair)
 
 
 def test_initial_state_rejected():
     with pytest.raises(ValueError, match="initial state"):
-        rk45(decay, [1.0], 1.0, 1e-10, guard=lambda y: False, guard_error=())
+        rk45(decay, [1.0], 1.0, 1e-10, guard=lambda y: False, guard_error=(), pair=_rk.DOP853)
 
 
 def test_guard_is_required():
     with pytest.raises(TypeError):
-        rk45(decay, [1.0], 1.0, 1e-10)
+        rk45(decay, [1.0], 1.0, 1e-10, pair=_rk.DOP853)
+    with pytest.raises(TypeError):  # and so is the pair
+        rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=())
 
 
-def test_fifth_order_solution_integrates_a_quartic_exactly():
-    # y' = (1, y0^4): the stages see y0 = t + c_i h, and the fifth-order
-    # weights integrate t^4 exactly, so y1 = t^5/5 at every knot to rounding;
-    # a stage combined with the wrong tableau row or weights misses it
-    ts, ys, _, reason = rk45(
-        lambda y: [1.0, y[0] ** 4], [0.0, 0.0], 2.0, 1e-8, guard=always, guard_error=()
-    )
-    assert reason == "complete"
-    assert len(ts) > 10
-    assert np.max(np.abs(ys[:, 0] - ts)) < 1e-14
-    assert np.max(np.abs(ys[:, 1] - ts**5 / 5.0)) < 1e-13
+@pytest.mark.parametrize(
+    "pair, degree, bound",
+    [(_rk.FEHLBERG45, 4, 1e-13), (_rk.DOP853, 7, 1e-12)],
+    ids=["fehlberg45", "dop853"],
+)
+def test_solution_weights_integrate_their_degree_exactly(pair, degree, bound):
+    # y' = (1, y0^degree): the stages see y0 = t + c_i h, and the solution
+    # weights of a pair of order p = degree + 1 integrate t^degree exactly,
+    # so y1 = t^p / p at every knot to rounding (y1 reaches 6.4 and 32); a
+    # stage combined with the wrong tableau row or weights misses it, and
+    # so does y0^p
+    def run(power):
+        ts, ys, _, reason = rk45(lambda y: [1.0, y[0] ** power], [0.0, 0.0], 2.0, 1e-8,
+                                 guard=always, guard_error=(), pair=pair)
+        assert reason == "complete"
+        assert len(ts) > 10
+        assert np.max(np.abs(ys[:, 0] - ts)) < 1e-14
+        return np.max(np.abs(ys[:, 1] - ts ** (power + 1) / (power + 1)))
+
+    assert run(degree) < bound
+    assert run(degree + 1) > 10.0 * bound
+
+
+def test_dop853_coefficients_are_scipys():
+    # the float literals of `_rk` are Hairer's coefficients as scipy's
+    # DOP853 states them, and neither error estimate weighs f(y_new)
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for i, row in enumerate(_rk._DOP853_A, start=1):
+        assert row == tuple(ref.A[i, :i]), i
+    assert _rk._DOP853_B == tuple(ref.B)
+    assert _rk._DOP853_E5 == tuple(ref.E5[:-1]) and ref.E5[-1] == 0.0
+    assert _rk._DOP853_E3 == tuple(ref.E3[:-1]) and ref.E3[-1] == 0.0
+    assert _rk.DOP853.stages == len(ref.B) == ref.N_STAGES
 
 
 def test_error_weights_are_nonzero_wherever_the_solution_weights_are():
     # so the error estimate is nan wherever the new state is: a stage that
     # is not finite can never be accepted
-    assert all(e != 0.0 or b == 0.0 for e, b in zip(_rk._E, _rk._B5, strict=True))
+    for err, sol in ((_rk._F45_E, _rk._F45_B), (_rk._DOP853_E5, _rk._DOP853_B), (_rk._DOP853_E3, _rk._DOP853_B)):
+        assert all(e != 0.0 or b == 0.0 for e, b in zip(err, sol, strict=True))
 
 
 def test_a_nan_stage_quarters_the_step():
     # the first attempt (h = 0.01) gets nan in one component at stage 3;
     # its error norm is nan, so the retry runs at h / 4 and is accepted
-    calls = 0
+    for pair in PAIRS:
+        calls = 0
 
-    def rhs(y):
-        nonlocal calls
-        calls += 1
-        out = decay(y)
-        if calls == 3:
-            out[1] = math.nan
-        return out
+        def rhs(y):
+            nonlocal calls
+            calls += 1
+            out = decay(y)
+            if calls == 3:
+                out[1] = math.nan
+            return out
 
-    ts, ys, _, reason = rk45(rhs, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=())
-    assert reason == "complete"
-    assert ts[1] == 0.0025
-    assert np.all(np.isfinite(ys))
-    clean, _, _, _ = rk45(decay, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=())
-    assert clean[1] == 0.01
+        ts, ys, _, reason = rk45(rhs, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+        assert reason == "complete"
+        assert ts[1] == 0.0025
+        assert np.all(np.isfinite(ys))
+        clean, _, _, _ = rk45(decay, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+        assert clean[1] == 0.01
+
+
+def _controller_knots(rng, n, t_end):
+    """n knots on [0, t_end] whose neighbouring steps differ by less than
+    e^2, under the factor at which `hermite_sample` skips a knot."""
+    h = np.exp(rng.uniform(-1.0, 1.0, n - 1))
+    return np.concatenate(([0.0], np.cumsum(h))) * (t_end / h.sum())
+
+
+@pytest.mark.parametrize("n, degree", [(9, 7), (4, 7), (3, 5), (2, 3)])
+def test_hermite_sample_reproduces_a_polynomial_of_its_degree(n, degree):
+    rng = np.random.default_rng(degree * 10 + n)
+    for _ in range(10):
+        ts = _controller_knots(rng, n, 2.0)
+        polys = [np.polynomial.Polynomial(rng.normal(size=degree + 1)) for _ in range(2)]
+        ys = np.stack([p(ts) for p in polys], axis=1)
+        fs = np.stack([p.deriv()(ts) for p in polys], axis=1)
+        tq = np.linspace(0.0, ts[-1], 501)
+        ref = np.stack([p(tq) for p in polys], axis=1)
+        out = _rk.hermite_sample(ts, ys, fs, tq)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_hermite_sample_returns_the_knots_at_the_knot_times():
+    rng = np.random.default_rng(7)
+    ts = _controller_knots(rng, 30, 5.0)
+    ys = rng.normal(size=(30, 6))
+    fs = rng.normal(size=(30, 6))
+    assert np.array_equal(_rk.hermite_sample(ts, ys, fs, ts), ys)
+    assert np.array_equal(_rk.hermite_sample(ts, ys, fs, ts[17]), ys[17])
+
+
+def _sin_knots(steps):
+    ts = np.concatenate(([0.0], np.cumsum(steps)))
+    return ts, np.sin(ts)[:, None], np.cos(ts)[:, None]
+
+
+def test_hermite_sample_follows_steps_that_halve_toward_the_end():
+    # ten steps of 0.1, then steps halving 40 times, as a guard cascade
+    # into a domain exit leaves them; queried on a grid and inside each step
+    ts, ys, fs = _sin_knots(np.concatenate((np.full(10, 0.1), 0.1 * 0.5 ** np.arange(1, 41))))
+    tq = np.sort(np.concatenate((np.linspace(0.0, ts[-1], 2001), ts[:-1] + np.diff(ts) / 3.0)))
+    assert np.max(np.abs(_rk.hermite_sample(ts, ys, fs, tq)[:, 0] - np.sin(tq))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "steps, bound",
+    [
+        # a last step 1e-8 of the one before: interpolating through its knot
+        # would amplify the rounding of sin there by ~(5e7)^3; the steps of
+        # 0.5 alone give sin to ~1e-7
+        ((0.5,) * 6 + (5e-9,), 1e-6),
+        # a step between two short ones, as guard cuts leave them: its
+        # interpolant is the cubic on its own ends, ~2e-4 for a step of 0.5
+        ((0.5, 0.5, 1e-9, 0.5, 1e-9, 0.5, 0.5), 1e-3),
+    ],
+    ids=["short-last-step", "short-steps-on-both-sides"],
+)
+def test_hermite_sample_skips_a_knot_beyond_a_short_step(steps, bound):
+    ts, ys, fs = _sin_knots(np.array(steps))
+    tq = np.linspace(0.0, ts[-1], 2001)
+    assert np.max(np.abs(_rk.hermite_sample(ts, ys, fs, tq)[:, 0] - np.sin(tq))) < bound
 
 
 def _numpy_norm(y, y_new, err, tol):

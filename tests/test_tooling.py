@@ -3,6 +3,8 @@
 import importlib
 import importlib.util
 import itertools
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,21 @@ def test_one_traced_operation_keeps_the_tracer_contract(tracer, workloads, workl
     for name in tracer.EXPECT_NONZERO[workload]:
         if name not in NOT_PER_OP:
             assert metrics[name] > 0.0, name
+
+
+def test_the_cli_runs_without_scipy():
+    # scipy is installed for the tests, but the package depends on numpy
+    # alone: a geodesic run in a fresh interpreter must not load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from cvgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['geodesic', '--l', '1', '--m', '1', '--u', '1', '--v', '0', '--w', '1',\n"
+        "                 '--method', 'both', '--t-max', '3', '--samples', '21'])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "CVGEO_TOL"}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0 []\n", out
