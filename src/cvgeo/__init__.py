@@ -7,8 +7,6 @@ from .space import (
     Point3,
     SpaceClass,
     classify,
-    conformal_factor,
-    coframe_values,
     frame,
     metric_tensor,
 )
@@ -19,7 +17,7 @@ from .connection import (
     integrate_geodesic,
     sectional_curvature,
 )
-from .symmetry import containment_surfaces, first_integrals, killing_defect, killing_eval
+from .symmetry import first_integrals, killing_defect, killing_eval
 from .closed_forms import ClosedFormGeodesic, closed_form_geodesic, dispatch_case
 
 __version__ = "0.1.0"
@@ -31,8 +29,6 @@ __all__ = [
     "Point3",
     "SpaceClass",
     "classify",
-    "conformal_factor",
-    "coframe_values",
     "frame",
     "metric_tensor",
     "GeodesicState",
@@ -40,7 +36,6 @@ __all__ = [
     "christoffel",
     "integrate_geodesic",
     "sectional_curvature",
-    "containment_surfaces",
     "first_integrals",
     "killing_defect",
     "killing_eval",

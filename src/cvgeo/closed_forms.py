@@ -266,9 +266,6 @@ class ClosedFormGeodesic:
         """Coordinates at time(s) t; shape (..., 3)."""
         return _EVALUATORS[self.case.kind](self.params, self.v0, t)
 
-    def __call__(self, t) -> np.ndarray:
-        return self.position(t)
-
 
 def closed_form_geodesic(params: MetricParams, v0) -> ClosedFormGeodesic:
     u, v, w = (float(c) for c in v0)

@@ -3,11 +3,14 @@
 The connection has one formulation: the frame connection of the
 E(kappa, tau) spaces (kappa = 4m, tau = l/2) written back in coordinates.
 The geodesic rhs is its acceleration, a few scalar operations per
-evaluation, and the Christoffel symbols are its polarised form; surfaces
-and the Killing defects use them.  The curvature tensor is the closed form
-of the E(kappa, tau) spaces.  The Koszul symbols, the rhs from them and
-finite differences of the metric and of the symbols are the oracles of
-these closed forms; they live with the tests (`tests/oracles.py`).
+evaluation, and its polarised form, the bilinear map Gamma(a, b) of
+`_gamma_pair`, is the one connection map: the second fundamental form of
+a surface contracts it with the surface tangents, and `christoffel`, its
+table Gamma(e_i, e_j) at one point, serves the Killing defects.  The
+curvature tensor is the closed form of the E(kappa, tau) spaces.  The
+Koszul symbols, the rhs from them and finite differences of the metric
+and of the symbols are the oracles of these closed forms; they live with
+the tests (`tests/oracles.py`).
 
 The geodesic integrator is the adaptive stepper of `_rk` with the
 Dormand-Prince 8(5,3) pair, default tolerance 1e-10, with degree-7
@@ -17,7 +20,6 @@ closed-form geodesic of this package is checked.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +31,6 @@ from .space import (
     MetricParams,
     Point3,
     _is_rows,
-    _rows_in_domain,
     _xyz,
     frame,
     metric_tensor,
@@ -70,63 +71,47 @@ class GeodesicState:
         return np.concatenate([self.point.as_array(), np.asarray(self.velocity, dtype=float)])
 
 
-def _gamma_entries(l: float, m: float, x: float, y: float):
-    """Gamma^k_ij as nested tuples: the frame connection of `_rhs_entries`,
-    polarised.
+def _gamma_pair(l: float, m: float, x: float, y: float, a, b) -> tuple:
+    """Gamma(a, b) = Gamma^k_ij a^i b^j: the frame connection of
+    `_rhs_entries`, polarised.
 
-    With D = 1 + m rho^2, r = (x, y, 0)/D, s = l^2/2 - 2m and
-    K = (s y/D, -s x/D, l), writing ab for the tensor product a (x) b:
-        Gamma^x = -m (r e_x + e_x r) + (K e_y + e_y K)/2
-        Gamma^y = -m (r e_y + e_y r) - (K e_x + e_x K)/2
-        Gamma^z = -(l/4) (K r + r K)
-    so -Gamma^k(v, v) is the acceleration of `_rhs_entries`, whose r and K
-    are r(v) and K(v).  x and y are floats, or arrays on which every entry
-    is computed elementwise.
+    With D = 1 + m rho^2, s = l^2/2 - 2m and, for a vector a,
+    r_a = (x a_x + y a_y)/D, c_a = (y a_x - x a_y)/D and K_a = l a_z + s c_a:
+        Gamma^x = -m (r_a b_x + a_x r_b) + (K_a b_y + a_y K_b)/2
+        Gamma^y = -m (r_a b_y + a_y r_b) - (K_a b_x + a_x K_b)/2
+        Gamma^z = -(l/4) (K_a r_b + r_a K_b)
+    so -Gamma(v, v) is the acceleration of `_rhs_entries`, and
+    Gamma(a, b) = Gamma(b, a) bit for bit.  a and b are component triples;
+    x, y and the components are floats, or arrays on which every term is
+    computed elementwise.  Callers check the domain: here D <= 0 is not
+    caught.
     """
+    ax, ay, az = a
+    bx, by, bz = b
     D = 1.0 + m * (x * x + y * y)
-    if isinstance(D, np.ndarray):  # arrays of x and y: the first degenerate point
-        bad = D[D <= 0.0]
-        if bad.size:
-            raise DomainError(f"metric degenerate: D = {float(bad[0])!r}")
-    elif D <= 0.0:
-        raise DomainError(f"metric degenerate: D = {D!r}")
-    rx = x / D
-    ry = y / D
     s = 0.5 * l * l - 2.0 * m
-    kx = s * ry
-    ky = -s * rx
-    hl = 0.5 * l
-    ql = -0.25 * l
-    x_xy = -m * ry + 0.5 * kx  # k_ij names Gamma^k_ij
-    y_xy = -m * rx - 0.5 * ky
-    z_xy = ql * (kx * ry + rx * ky)
-    z_xz = ql * l * rx
-    z_yz = ql * l * ry
+    ra = (x * ax + y * ay) / D
+    rb = (x * bx + y * by) / D
+    ka = l * az + s * (y * ax - x * ay) / D
+    kb = l * bz + s * (y * bx - x * by) / D
     return (
-        ((-2.0 * m * rx, x_xy, 0.0), (x_xy, ky, hl), (0.0, hl, 0.0)),
-        ((-kx, y_xy, -hl), (y_xy, -2.0 * m * ry, 0.0), (-hl, 0.0, 0.0)),
-        ((2.0 * ql * kx * rx, z_xy, z_xz), (z_xy, 2.0 * ql * ky * ry, z_yz), (z_xz, z_yz, 0.0)),
+        -m * (ra * bx + ax * rb) + 0.5 * (ka * by + ay * kb),
+        -m * (ra * by + ay * rb) - 0.5 * (ka * bx + ax * kb),
+        -0.25 * l * (ka * rb + ra * kb),
     )
 
 
-def christoffel(params: MetricParams, p) -> np.ndarray:
-    """Gamma^k_ij of the Levi-Civita connection, shape (3, 3, 3).
+_BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-    p is one point, or an (..., 3) array of points for an (..., 3, 3, 3)
-    result; `_gamma_entries` runs elementwise on the coordinate arrays in
-    the same operation order, so each entry is the one-point call's, bit for
-    bit.
-    """
-    if _is_rows(p):
-        x, y = _rows_in_domain(params, p)
-        gam = _gamma_entries(params.l, params.m, x, y)
-        out = np.empty(p.shape[:-1] + (3, 3, 3))
-        for k, i, j in itertools.product(range(3), repeat=3):
-            out[..., k, i, j] = gam[k][i][j]
-        return out
+
+def christoffel(params: MetricParams, p) -> np.ndarray:
+    """Gamma^k_ij of the Levi-Civita connection at one point, shape (3, 3, 3):
+    the table of `_gamma_pair` on the coordinate basis, Gamma(e_i, e_j)."""
     require_in_domain(params, p)
     x, y, _ = _xyz(p)
-    return np.array(_gamma_entries(params.l, params.m, x, y))
+    l, m = params.l, params.m
+    table = [_gamma_pair(l, m, x, y, ei, ej) for ei in _BASIS for ej in _BASIS]
+    return np.array(table).T.reshape(3, 3, 3)
 
 
 def _rhs_entries(l: float, m: float, y6) -> tuple:
@@ -135,7 +120,7 @@ def _rhs_entries(l: float, m: float, y6) -> tuple:
 
     With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
     K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)); r and K are the
-    r(v) and K(v) of `_gamma_entries`, where K(v) = l vz + s c:
+    r_v and K_v of `_gamma_pair`, where K_v = l vz + s c:
         ax = 2 m r vx - K vy,  ay = 2 m r vy + K vx,  az = (l/2) K r.
     The state is a list of Python floats and the result a tuple of them.
     numpy's errstate does not watch Python floats, so a D or an

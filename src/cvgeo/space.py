@@ -31,12 +31,10 @@ __all__ = [
     "Frame",
     "SpaceClass",
     "classify",
-    "conformal_factor",
     "in_domain",
     "require_in_domain",
     "metric_tensor",
     "frame",
-    "coframe_values",
 ]
 
 # Relative tolerance for the constant-curvature branch test 4m = l^2.
@@ -119,13 +117,6 @@ def require_in_domain(params: MetricParams, p) -> None:
             f"point with x^2+y^2 = {float(x * x + y * y)!r} outside the disk "
             f"x^2+y^2 < {-1.0 / params.m!r} (m = {params.m!r})"
         )
-
-
-def conformal_factor(params: MetricParams, p) -> float:
-    """D = 1 + m (x^2 + y^2); strictly positive on the domain."""
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
-    return 1.0 + params.m * (x * x + y * y)
 
 
 def classify(params: MetricParams) -> SpaceClass:
@@ -215,12 +206,3 @@ def frame(params: MetricParams, p) -> Frame:
         e2=np.array([0.0, D, 0.5 * l * x]),
         e3=np.array([0.0, 0.0, 1.0]),
     )
-
-
-def coframe_values(params: MetricParams, p, v) -> np.ndarray:
-    """(omega^1(v), omega^2(v), omega^3(v)) for a coordinate vector v."""
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
-    vx, vy, vz = (float(c) for c in v)
-    D, al, be = _metric_scalars(params, x, y)
-    return np.array([vx / D, vy / D, al * vx + be * vy + vz])

@@ -12,8 +12,9 @@ Jacobian of X; the second uses the metric unit normal and ambient
 covariant derivatives of the coordinate tangents, with the exact second
 derivatives of X in f, f', f'' and g', g''.  Both take one point (u, v) or
 an (N, 2) grid and evaluate it in one array pass: the profile callables
-once per distinct u, one `metric_tensor` and one `christoffel` call for
-all points, and the height g once per call, at the largest u (the metric
+once per distinct u, one `metric_tensor` call for all points, the
+connection map Gamma(a, b) of `cvgeo.connection` on the grid arrays, and
+the height g once per call, at the largest u (the metric
 does not depend on z; for unit-speed profiles that quadrature of g' is the
 unit-compatibility check).  Surface geodesics are integrated from the
 closed-form coefficients (E, F, G) of `reference_form_coefficients`,
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .connection import christoffel
+from .connection import _gamma_pair
 from .profiles import RevolutionProfile, _unit_radicand
 from .space import DomainError, MetricParams, _metric_scalars, metric_tensor, require_in_domain
 
@@ -167,19 +168,19 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
     point q = (u, v), with shapes (2, 2), (2, 2) and (3,), or at an (N, 2)
     grid, with shapes (N, 2, 2), (N, 2, 2) and (N, 3).
 
-    B_ab = g(nabla_{X_a} X_b, xi) with ambient Christoffels and the exact
-    second derivatives X_uu = (f'' cos v, f'' sin v, g''),
+    B_ab = g(nabla_{X_a} X_b, xi) = (X_ab + Gamma(X_a, X_b)) . g xi, with
+    the connection map Gamma(a, b) on the tangents and the exact second
+    derivatives X_uu = (f'' cos v, f'' sin v, g''),
     X_uv = (-f' sin v, f' cos v, 0) and X_vv = (-f cos v, -f sin v, 0); B_uv
     is computed once, so B is symmetric.  The metric unit normal xi is
     oriented by the sign of its omega^3 value, falling back to omega^1 then
     omega^2 where earlier ones vanish.  One call evaluates the height g
-    once, `metric_tensor` once and `christoffel` once, whatever the number
-    of points; a failed check reports its first point in grid order.
+    once and `metric_tensor` once, whatever the number of points, and no
+    Christoffel table; a failed check reports its first point in grid order.
     """
     patch, single = _patch(params, profile, q)
     g, jac, point = patch.metric, patch.jac, patch.point
     n_points = len(point)
-    x_u, x_v = jac[:, :, 0], jac[:, :, 1]
     r = g @ jac
     n = np.cross(r[:, :, 0], r[:, :, 1])
     norm2 = np.einsum("ni,nij,nj->n", n, g, n)
@@ -192,22 +193,25 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
     comp = np.where(np.abs(w3) > 1e-10, w3, np.where(np.abs(w1) > 1e-10, w1, w2))
     xi[comp < -1e-10] *= -1.0
     gxi = np.einsum("nij,nj->ni", g, xi)
-    # Gamma^k_ij paired with g xi: B_ab = X_ab . g xi + X_a^i M_ij X_b^j
-    mgam = np.einsum("nkij,nk->nij", christoffel(params, point), gxi)
 
     fppv, gppv = _profile_values(patch.u, profile.fpp, profile.gpp)
-    x_uu = np.stack([fppv * patch.cos_v, fppv * patch.sin_v, gppv], axis=-1)
+    # components k, entries (uu, uv, vv), points: one Gamma call for all
+    t_u, t_v = jac.T
     zero = np.zeros(n_points)
-    x_uv = np.stack([-x_u[:, 1], x_u[:, 0], zero], axis=-1)
-    x_vv = np.stack([-point[:, 0], -point[:, 1], zero], axis=-1)
-
-    def b(dd, a, c):
-        return np.einsum("nk,nk->n", dd, gxi) + np.einsum("ni,nij,nj->n", a, mgam, c)
-
+    x_ab = np.array(
+        [
+            [fppv * patch.cos_v, -t_u[1], -point[:, 0]],
+            [fppv * patch.sin_v, t_u[0], -point[:, 1]],
+            [gppv, zero, zero],
+        ]
+    )
+    gam = _gamma_pair(
+        params.l, params.m, point[:, 0], point[:, 1], np.stack([t_u, t_u, t_v], 1), np.stack([t_u, t_v, t_v], 1)
+    )
+    b_ab = np.einsum("kan,nk->an", x_ab + np.array(gam), gxi)
     second = np.empty((n_points, 2, 2))
-    second[:, 0, 0] = b(x_uu, x_u, x_u)
-    second[:, 0, 1] = second[:, 1, 0] = b(x_uv, x_u, x_v)
-    second[:, 1, 1] = b(x_vv, x_v, x_v)
+    second[:, 0, 0], second[:, 1, 1] = b_ab[0], b_ab[2]
+    second[:, 0, 1] = second[:, 1, 0] = b_ab[1]
     if single:
         return FundamentalForms(first=patch.first[0], second=second[0], normal=xi[0])
     return FundamentalForms(first=patch.first, second=second, normal=xi)

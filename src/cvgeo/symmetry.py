@@ -1,4 +1,4 @@
-"""Killing vector fields, their first integrals and containment surfaces.
+"""Killing vector fields, their Killing-equation defects and first integrals.
 
 The isometry algebra of the metric family contains the four fields (frame
 components converted to coordinates)
@@ -14,20 +14,17 @@ geodesic to a conserved quantity g(v, K); from the origin with velocity
 
 The vanishing rotational integral confines every origin geodesic to a
 surface: a circular cylinder l w (x^2+y^2) + 2 v x - 2 u y = 0 when both l
-and w are nonzero, else the vertical plane v x - u y = 0.  (The quadric is
-validated against the integrator; see docs/geodesic_atlas.md for the sign
-conventions.)  The second containment surface is the rotation of the
-geodesic itself about the z axis, carried here as a sampled profile.
+and w are nonzero, else the vertical plane v x - u y = 0.  The tests
+validate these containment surfaces against the integrator; see
+docs/geodesic_atlas.md for the sign conventions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .connection import GeodesicState, christoffel, integrate_geodesic
-from .space import MetricParams, Point3, _xyz, metric_tensor, require_in_domain
+from .connection import GeodesicState, christoffel
+from .space import MetricParams, _xyz, metric_tensor, require_in_domain
 
 __all__ = [
     "KILLING_NAMES",
@@ -35,8 +32,6 @@ __all__ = [
     "killing_defect",
     "field_killing_defect",
     "first_integrals",
-    "ContainmentSurfaces",
-    "containment_surfaces",
 ]
 
 KILLING_NAMES = ("X", "Y", "Z", "R")
@@ -119,59 +114,3 @@ def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
         ]
     )
     return ints + 0.0  # a zero integral is +0.0, never -0.0
-
-
-@dataclass(frozen=True)
-class ContainmentSurfaces:
-    """First containment surface of an origin geodesic, plus the profile
-    (radius, z) samples whose revolution about the z axis gives the second.
-
-    kind "cylinder": residual  quad * (x^2 + y^2) + cx * x + cy * y
-    kind "plane":    residual  cx * x + cy * y
-    """
-
-    kind: str
-    quad: float
-    cx: float
-    cy: float
-    profile: np.ndarray
-
-    def residual(self, p) -> float:
-        x, y, _ = _xyz(p)
-        r = self.cx * x + self.cy * y
-        if self.kind == "cylinder":
-            r += self.quad * (x * x + y * y)
-        return r
-
-    def max_residual(self, points) -> float:
-        pts = np.asarray(points, dtype=float)
-        r = self.cx * pts[:, 0] + self.cy * pts[:, 1]
-        if self.kind == "cylinder":
-            r = r + self.quad * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
-        return float(np.max(np.abs(r)))
-
-
-def containment_surfaces(
-    params: MetricParams,
-    v0,
-    t_span: float = 2.0,
-    n_profile: int = 65,
-) -> ContainmentSurfaces:
-    """Containment surfaces for the origin geodesic with velocity v0 = (u, v, w)."""
-    u, v, w = (float(c) for c in v0)
-    if u == 0.0 and v == 0.0 and w == 0.0:
-        raise ValueError("initial velocity must be nonzero")
-    l = params.l
-    if l != 0.0 and w != 0.0:
-        kind, quad, cx, cy = "cylinder", l * w, 2.0 * v, -2.0 * u
-    else:
-        kind, quad, cx, cy = "plane", 0.0, v, -u
-    traj = integrate_geodesic(
-        params,
-        GeodesicState(Point3(0.0, 0.0, 0.0), np.array([u, v, w])),
-        t_span,
-        samples=n_profile,
-    )
-    pos = traj.positions()
-    profile = np.column_stack([np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2]])
-    return ContainmentSurfaces(kind=kind, quad=quad, cx=cx, cy=cy, profile=profile)

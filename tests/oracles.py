@@ -3,18 +3,22 @@
 `koszul_christoffel_entries` assembles the Christoffel symbols by the
 Koszul formula from analytic partials of the metric and the exact inverse
 metric, and `christoffel_fd` from finite differences of the metric and a
-numeric inverse: the oracles of the closed-form frame connection in
-`cvgeo.connection`.  `koszul_rhs` is the geodesic rhs from the Koszul
+numeric inverse: the oracles of the closed-form connection map
+`cvgeo.connection._gamma_pair` and its table `christoffel`.
+`conformal_factor` and `coframe_values` are D and the coframe at a point,
+and `containment_surfaces` the cylinder or plane that holds an origin
+geodesic, for the tests of the metric, the frame and the Killing
+integrals.  `koszul_rhs` is the geodesic rhs from the Koszul
 symbols and `killing_pairings` the first integrals from the metric matrix
 and the Killing fields: the oracles of the closed-form rhs and of the
 fused first integrals.  `curvature_fd`, `second_fundamental_form_fd` and
 `surface_rhs_fd` take by finite differences what the library computes in
 closed form: the curvature from the Christoffel symbols, the coordinate
 second derivatives of a surface from its tangents (one point at a time,
-with `embed` and `_unit_normal`), and the u derivatives of the induced
-metric.  `meridian_profile_ode_residual` is the radius
-equation of the profiles whose meridians are geodesics, against which
-`cvgeo.surfaces.meridian_is_geodesic` is checked.  `annotate_rows` is
+with `embed`, `_unit_normal` and the Koszul symbols), and the u
+derivatives of the induced metric.  `meridian_profile_ode_residual` is
+the radius equation of the profiles whose meridians are geodesics,
+against which `cvgeo.surfaces.meridian_is_geodesic` is checked.  `annotate_rows` is
 the row-at-a-time annotation, one `first_integrals` and one one-point
 `state_speed` call per row, against which the array speeds of
 `cvgeo.connection.annotate_states` are checked.  `rk45_matrix` is the
@@ -27,26 +31,98 @@ checked for both of its pairs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from cvgeo import _rk
-from cvgeo.connection import GeodesicState, christoffel, state_speed
+from cvgeo.connection import GeodesicState, christoffel, integrate_geodesic, state_speed
 from cvgeo.profiles import RevolutionProfile
 from cvgeo.space import (
     DomainError,
     MetricParams,
     Point3,
+    _metric_scalars,
     _xyz,
-    coframe_values,
     metric_tensor,
     require_in_domain,
 )
 from cvgeo.surfaces import reference_form_coefficients
 from cvgeo.symmetry import KILLING_NAMES, first_integrals, killing_eval
 
+
+def conformal_factor(params: MetricParams, p) -> float:
+    """D = 1 + m (x^2 + y^2); strictly positive on the domain."""
+    require_in_domain(params, p)
+    x, y, _ = _xyz(p)
+    return 1.0 + params.m * (x * x + y * y)
+
+
+def coframe_values(params: MetricParams, p, v) -> np.ndarray:
+    """(omega^1(v), omega^2(v), omega^3(v)) for a coordinate vector v."""
+    require_in_domain(params, p)
+    x, y, _ = _xyz(p)
+    vx, vy, vz = (float(c) for c in v)
+    D, al, be = _metric_scalars(params, x, y)
+    return np.array([vx / D, vy / D, al * vx + be * vy + vz])
+
+
+@dataclass(frozen=True)
+class ContainmentSurfaces:
+    """First containment surface of an origin geodesic, plus the profile
+    (radius, z) samples whose revolution about the z axis gives the second.
+
+    kind "cylinder": residual  quad * (x^2 + y^2) + cx * x + cy * y
+    kind "plane":    residual  cx * x + cy * y
+    """
+
+    kind: str
+    quad: float
+    cx: float
+    cy: float
+    profile: np.ndarray
+
+    def residual(self, p) -> float:
+        x, y, _ = _xyz(p)
+        r = self.cx * x + self.cy * y
+        if self.kind == "cylinder":
+            r += self.quad * (x * x + y * y)
+        return r
+
+    def max_residual(self, points) -> float:
+        pts = np.asarray(points, dtype=float)
+        r = self.cx * pts[:, 0] + self.cy * pts[:, 1]
+        if self.kind == "cylinder":
+            r = r + self.quad * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
+        return float(np.max(np.abs(r)))
+
+
+def containment_surfaces(
+    params: MetricParams,
+    v0,
+    t_span: float = 2.0,
+    n_profile: int = 65,
+) -> ContainmentSurfaces:
+    """Containment surfaces for the origin geodesic with velocity v0 = (u, v, w)."""
+    u, v, w = (float(c) for c in v0)
+    if u == 0.0 and v == 0.0 and w == 0.0:
+        raise ValueError("initial velocity must be nonzero")
+    l = params.l
+    if l != 0.0 and w != 0.0:
+        kind, quad, cx, cy = "cylinder", l * w, 2.0 * v, -2.0 * u
+    else:
+        kind, quad, cx, cy = "plane", 0.0, v, -u
+    traj = integrate_geodesic(
+        params,
+        GeodesicState(Point3(0.0, 0.0, 0.0), np.array([u, v, w])),
+        t_span,
+        samples=n_profile,
+    )
+    pos = traj.positions()
+    profile = np.column_stack([np.hypot(pos[:, 0], pos[:, 1]), pos[:, 2]])
+    return ContainmentSurfaces(kind=kind, quad=quad, cx=cx, cy=cy, profile=profile)
 
 def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
     """Finite-difference Koszul oracle for `christoffel`.
@@ -67,7 +143,7 @@ def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
 
 def koszul_christoffel_entries(l: float, m: float, x: float, y: float):
     """Gamma^k_ij as nested lists, from analytic metric partials through the
-    Koszul formula; the oracle of the closed-form `connection._gamma_entries`.
+    Koszul formula; the oracle of the closed-form `connection._gamma_pair`.
 
     Metric components: g = [[Q + a^2, a b, a], [a b, Q + b^2, b], [a, b, 1]]
     with Q = 1/D^2, a = l y / (2D), b = -l x / (2D), D = 1 + m (x^2 + y^2).
@@ -263,13 +339,14 @@ def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
 def second_fundamental_form_fd(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
     """Symmetrised second fundamental form B_ab = g(nabla_{X_a} X_b, xi),
     with central finite differences (step 1e-6) of the analytic tangent
-    vectors for the coordinate second derivatives."""
+    vectors for the coordinate second derivatives and the Koszul symbols of
+    `koszul_christoffel_entries`."""
     u, v = float(q[0]), float(q[1])
     point, jac = embed(profile, (u, v))
     g = metric_tensor(params, point)
     xi = _unit_normal(params, g, point, jac)
     gxi = g @ xi
-    gam = christoffel(params, point)
+    gam = np.array(koszul_christoffel_entries(params.l, params.m, point[0], point[1]))
 
     h = 1e-6
     d_u = (_jacobian(profile, u + h, v) - _jacobian(profile, u - h, v)) / (2.0 * h)  # X_uu, X_vu

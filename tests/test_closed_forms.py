@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import containment_surfaces
 from cvgeo.closed_forms import (
     BranchDomainError,
     CaseKind,
@@ -19,7 +20,6 @@ from cvgeo.closed_forms import (
 )
 from cvgeo.connection import GeodesicState, integrate_geodesic, state_speed
 from cvgeo.space import MetricParams, Point3
-from cvgeo.symmetry import containment_surfaces
 
 
 def oracle(l, m, v0, t_max, tol=1e-10, samples=None):

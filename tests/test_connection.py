@@ -16,6 +16,7 @@ from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
     BOUNDARY_MARGIN,
     GeodesicState,
+    _gamma_pair,
     _rhs_entries,
     annotate_states,
     christoffel,
@@ -117,6 +118,9 @@ def test_geodesic_rhs_matches_koszul_oracle():
         assert np.max(np.abs(gam - gam_oracle)) <= 1e-12 * scale, (l, m, y6)
         acc = -np.einsum("kij,i,j->k", gam, vel, vel)
         scale = max(float(np.max(np.abs(exact[3:]))), 1.0)
+        assert np.max(np.abs(acc - exact[3:])) <= 1e-12 * scale, (l, m, y6)
+        # the connection map itself: -Gamma(v, v) is the rhs acceleration
+        acc = -np.array(_gamma_pair(l, m, y6[0], y6[1], vel, vel))
         assert np.max(np.abs(acc - exact[3:])) <= 1e-12 * scale, (l, m, y6)
     assert n_hyperbolic > 300
 
@@ -347,7 +351,7 @@ def test_state_speed_at_origin_is_euclidean():
 def test_array_points_match_one_point_calls():
     # 20 parameter pairs x 100 points, among them l = 0, 4m = l^2 and m < 0
     # with every fifth point at rho^2 = 0.999/|m|; an (..., 3) array gives
-    # each point's one-point result bit for bit
+    # each point's one-point metric bit for bit
     rng = np.random.default_rng(43)
     pairs = [(0.0, 0.8), (0.0, -0.6), (1.4, 0.49), (-0.9, 0.2025), (1.1, -0.7), (-1.7, -1.3)]
     pairs += [tuple(rng.uniform(-2.0, 2.0, 2)) for _ in range(14)]
@@ -361,14 +365,13 @@ def test_array_points_match_one_point_calls():
         th = rng.uniform(0.0, 2.0 * math.pi, 100)
         pts = np.stack([np.sqrt(rho2) * np.cos(th), np.sqrt(rho2) * np.sin(th), rng.uniform(-3, 3, 100)], axis=-1)
         pts = pts.reshape(4, 25, 3)
-        g, gam = metric_tensor(params, pts), christoffel(params, pts)
-        assert g.shape == (4, 25, 3, 3) and gam.shape == (4, 25, 3, 3, 3)
+        g = metric_tensor(params, pts)
+        assert g.shape == (4, 25, 3, 3)
         for idx in np.ndindex(4, 25):
             assert np.array_equal(g[idx], metric_tensor(params, pts[idx])), (l, m, idx)
-            assert np.array_equal(gam[idx], christoffel(params, pts[idx])), (l, m, idx)
 
 
-@pytest.mark.parametrize("fn", [metric_tensor, christoffel])
+@pytest.mark.parametrize("fn", [metric_tensor])
 def test_array_points_outside_the_disk_raise_for_the_first(fn):
     params = MetricParams(0.5, -1.0)
     pts = np.array([[0.1, 0.2, 0.0], [0.6, 0.9, 1.0], [0.3, 0.3, 0.0], [2.0, 0.0, 0.0]])

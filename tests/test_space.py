@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import coframe_values, conformal_factor
 from cvgeo.audits import random_params, random_point
 from cvgeo.space import (
     DomainError,
@@ -10,8 +11,6 @@ from cvgeo.space import (
     Point3,
     SpaceClass,
     classify,
-    coframe_values,
-    conformal_factor,
     frame,
     metric_tensor,
 )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from battery import nearest_radius_extremum
 from oracles import embed, meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
+import cvgeo.connection
 import cvgeo.surfaces
 from cvgeo.audits import random_params, run_suite
 from cvgeo.connection import GeodesicState, integrate_geodesic
@@ -149,6 +151,12 @@ def test_second_form_embeds_and_builds_metric_once(monkeypatch):
 
     prof = dataclasses.replace(prof, g=counted("g", prof.g))
     monkeypatch.setattr(cvgeo.surfaces, "metric_tensor", counted("metric_tensor", cvgeo.surfaces.metric_tensor))
+    # the forms contract the connection map directly: no Christoffel table,
+    # through whichever cvgeo module binds it
+    christoffel = cvgeo.connection.christoffel
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cvgeo" and getattr(module, "christoffel", None) is christoffel:
+            monkeypatch.setattr(module, "christoffel", counted("christoffel", christoffel))
     second_fundamental_form(params, prof, (0.3, 1.1))
     assert calls == {"g": 1, "metric_tensor": 1}
     calls.clear()

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import killing_pairings
+from oracles import conformal_factor, containment_surfaces, killing_pairings
 from cvgeo.audits import random_params, random_point
 from cvgeo.connection import GeodesicState, integrate_geodesic
-from cvgeo.space import MetricParams, Point3, conformal_factor
+from cvgeo.space import MetricParams, Point3
 from cvgeo.symmetry import (
     KILLING_NAMES,
-    containment_surfaces,
     field_killing_defect,
     first_integrals,
     killing_defect,
