@@ -16,9 +16,10 @@ by `unit_speed_profile` or `random_profile`, the arc-length normalisation
 
     f'^2 / (1 + m f^2)^2 + g'^2 = 1
 
-holds, which is what the parallel/meridian geodesic criteria assume.  The
-height of a unit-speed profile is recovered by Gauss-Legendre quadrature
-of g' when it is actually needed (the ambient metric never depends on z).
+holds.  The geodesic criteria of `cvgeo.surfaces` do not need it: they
+read the induced metric (E, F, G) of any immersed profile.  The height of
+a unit-speed profile is recovered by Gauss-Legendre quadrature of g' when
+it is actually needed (the ambient metric never depends on z).
 """
 
 from __future__ import annotations

@@ -16,10 +16,13 @@ once per distinct u, one `metric_tensor` call for all points, the
 connection map Gamma(a, b) of `cvgeo.connection` on the grid arrays, and
 the height g once per call, at the largest u (the metric
 does not depend on z; for unit-speed profiles that quadrature of g' is the
-unit-compatibility check).  Surface geodesics are integrated from the
-closed-form coefficients (E, F, G) of `reference_form_coefficients`,
-which depend on u only, and their exact u derivatives; the rotational
-momentum p_v = 2 G v' + 2 F u' they conserve is the independent check.
+unit-compatibility check).  The closed-form induced metric (E, F, G) of
+`reference_form_coefficients` depends on u only, and everything else reads
+it: surface geodesics solve the Euler-Lagrange equations of (E, F, G),
+with the rotational momentum p_v = 2 G v' + 2 F u' they conserve as the
+independent check; a parallel u = u0 is a geodesic exactly where G'(u0) = 0
+and the meridians are geodesics exactly where F / sqrt(E) is constant, for
+any immersed profile, at unit speed or not.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import _rk
 from .connection import _gamma_pair
-from .profiles import RevolutionProfile, _unit_radicand
+from .profiles import RevolutionProfile
 from .space import DomainError, MetricParams, _metric_scalars, metric_tensor, require_in_domain
 
 __all__ = [
@@ -140,27 +143,35 @@ def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) 
 
 
 def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile, u: float):
-    """Closed-form induced-metric coefficients (E, F, G).
+    """Closed-form induced-metric coefficients (E, F, G) at u.
 
     Independent of the pullback route, which they cross-check; they also
-    drive the surface-geodesic equations and their p_v/speed annotations:
+    drive the surface-geodesic equations, their p_v/speed annotations and
+    both geodesic criteria:
         E = f'^2 / (1 + m f^2)^2 + g'^2
         F = -l f^2 g' / (2 (1 + m f^2))
-        G = (4 f^2 + l^2 f^4) / (4 (1 + m f^2)^2)
+        G = f^2 (4 + l^2 f^2) / (4 (1 + m f^2)^2)
     """
     return _form_coefficients(params, profile.f(u), profile.fp(u), profile.gp(u))
 
 
 def _form_coefficients(params: MetricParams, fv, fpv, gpv):
     """(E, F, G) of `reference_form_coefficients` from f, f' and g', floats
-    or arrays alike; f^4 is np.float_power, which is the C pow of Python's
-    ** (np.power may round differently)."""
+    or arrays alike, by the same IEEE operations."""
     l, m = params.l, params.m
-    d = 1.0 + m * fv * fv
+    f2 = fv * fv
+    d = 1.0 + m * f2
     e = fpv * fpv / (d * d) + gpv * gpv
-    fcoef = -0.5 * l * fv * fv * gpv / d
-    gcoef = (4.0 * fv * fv + l * l * np.float_power(fv, 4)) / (4.0 * d * d)
+    fcoef = -0.5 * l * f2 * gpv / d
+    gcoef = f2 * (4.0 + l * l * f2) / (4.0 * d * d)
     return e, fcoef, gcoef
+
+
+def _g_prime(params: MetricParams, fv: float, fpv: float) -> float:
+    """dG/du = f f' (2 + (l^2 - 2 m) f^2) / (1 + m f^2)^3."""
+    l, m = params.l, params.m
+    f2 = fv * fv
+    return fv * fpv * (2.0 + (l * l - 2.0 * m) * f2) / (1.0 + m * f2) ** 3
 
 
 def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> FundamentalForms:
@@ -290,49 +301,34 @@ def frobenius_scalar(params: MetricParams, p=None) -> float:
 
 def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4) -> tuple:
     """Surface-geodesic rhs (u', v', u'', v'') at (u, v, u', v'), a list of
-    Python floats, as a tuple of them.  numpy's errstate does not watch
-    Python floats, so an acceleration that is not finite raises
-    FloatingPointError."""
+    Python floats, as a tuple of them.
+
+    The Euler-Lagrange equations of E u'^2 + 2 F u' v' + G v'^2, whose
+    coefficients depend on u only:
+        E u'' + F v'' = (G' v'^2 - E' u'^2) / 2
+        F u'' + G v'' = -(F' u'^2 + G' u' v')
+    numpy's errstate does not watch Python floats, so an acceleration that
+    is not finite raises FloatingPointError.
+    """
     u, _, du, dv = y4
     if not profile.contains(u):
         raise DomainError(f"u = {u!r} outside the profile domain")
     fv = profile.f(u)
     require_in_domain(params, (fv, 0.0, 0.0))  # the disk bounds the radius only
-    l, m = params.l, params.m
     fpv, fppv, gpv, gppv = profile.fp(u), profile.fpp(u), profile.gp(u), profile.gpp(u)
-    # E, F and G as in reference_form_coefficients, and their exact u
-    # derivatives, with d = 1 + m f^2 and d' = 2 m f f'
-    d = 1.0 + m * fv * fv
-    e0 = fpv * fpv / (d * d) + gpv * gpv
-    f0 = -0.5 * l * fv * fv * gpv / d
-    g0 = (4.0 * fv * fv + l * l * fv ** 4) / (4.0 * d * d)
-    dp = 2.0 * m * fv * fpv
+    e0, f0, g0 = _form_coefficients(params, fv, fpv, gpv)
+    # exact u derivatives, with d = 1 + m f^2 and d' = 2 m f f'
+    d = 1.0 + params.m * fv * fv
+    dp = 2.0 * params.m * fv * fpv
     de = 2.0 * fpv * (fppv * d - fpv * dp) / d ** 3 + 2.0 * gpv * gppv
-    df = -0.5 * l * fv * (fv * gppv + 2.0 * fpv * gpv - fv * gpv * dp / d) / d
-    dg = fv * fpv * (2.0 + l * l * fv * fv) / (d * d) - 2.0 * g0 * dp / d
+    df = -0.5 * params.l * fv * (fv * gppv + 2.0 * fpv * gpv - fv * gpv * dp / d) / d
+    dg = _g_prime(params, fv, fpv)
 
+    r_u = 0.5 * (dg * dv * dv - de * du * du)
+    r_v = -(df * du + dg * dv) * du
     det = e0 * g0 - f0 * f0
-    # Lowered symbols [ab, c] = (d_a h_bc + d_b h_ac - d_c h_ab)/2 with the
-    # induced metric depending on u only ([uv, u] = [vv, v] = 0):
-    l_uu_u = 0.5 * de
-    l_uu_v = df
-    l_uv_v = 0.5 * dg
-    l_vv_u = -0.5 * dg
-
-    # raise the first index with the inverse of [[e, f], [f, g]]
-    h_uu = g0 / det
-    h_uv = -f0 / det
-    h_vv = e0 / det
-
-    g_u_uu = h_uu * l_uu_u + h_uv * l_uu_v
-    g_v_uu = h_uv * l_uu_u + h_vv * l_uu_v
-    g_u_uv = h_uv * l_uv_v
-    g_v_uv = h_vv * l_uv_v
-    g_u_vv = h_uu * l_vv_u
-    g_v_vv = h_uv * l_vv_u
-
-    acc_u = -(g_u_uu * du * du + 2.0 * g_u_uv * du * dv + g_u_vv * dv * dv)
-    acc_v = -(g_v_uu * du * du + 2.0 * g_v_uv * du * dv + g_v_vv * dv * dv)
+    acc_u = (g0 * r_u - f0 * r_v) / det
+    acc_v = (e0 * r_v - f0 * r_u) / det
     if not (math.isfinite(acc_u) and math.isfinite(acc_v)):
         raise FloatingPointError("overflow encountered in the surface rhs")
     return du, dv, acc_u, acc_v
@@ -390,13 +386,8 @@ def surface_geodesic_integrate(
     else:
         t_out, y_out = ts, ys
 
-    # f, f' and g' once per row; p_v and the speed as array expressions
-    us = y_out[:, 0].tolist()
     e0, f0, g0 = _form_coefficients(
-        params,
-        np.array([profile.f(u) for u in us]),
-        np.array([profile.fp(u) for u in us]),
-        np.array([profile.gp(u) for u in us]),
+        params, *_profile_values(y_out[:, 0], profile.f, profile.fp, profile.gp)
     )
     du, dv = y_out[:, 2], y_out[:, 3]
     momenta = 2.0 * g0 * dv + 2.0 * f0 * du
@@ -415,15 +406,13 @@ def surface_geodesic_integrate(
 def parallel_is_geodesic(
     params: MetricParams, profile: RevolutionProfile, u0: float
 ) -> tuple[bool, float]:
-    """Whether the parallel u = u0 is a surface geodesic.
+    """Whether the parallel u = u0 is a surface geodesic, and the residual
+    G'(u0) = f f' (2 + (l^2 - 2 m) f^2) / (1 + m f^2)^3.
 
-    Residual: f'(u0) (2 + l^2 f^2 - 2 m f^2) / (1 + m f^2)^3, zero exactly
-    when the rotational momentum is critical at u0.
+    A parallel is a geodesic exactly where G is critical (Gamma^u_vv is
+    proportional to G'), for any immersed profile.
     """
-    l, m = params.l, params.m
-    fv, fpv = profile.f(u0), profile.fp(u0)
-    d = 1.0 + m * fv * fv
-    residual = fpv * (2.0 + l * l * fv * fv - 2.0 * m * fv * fv) / d ** 3
+    residual = _g_prime(params, profile.f(u0), profile.fp(u0))
     return abs(residual) < PARALLEL_TOL, residual
 
 
@@ -456,19 +445,16 @@ def parallel_geodesic_radii(
 
 
 def meridian_is_geodesic(params: MetricParams, profile: RevolutionProfile) -> tuple[bool, float]:
-    """Whether the meridians v = const are surface geodesics.
+    """Whether the meridians v = const are surface geodesics, and the spread
+    max - min of -2 F / sqrt(E) over a 256-point grid of the domain.
 
-    The quantity l f^2 sqrt((1 + m f^2)^2 - f'^2) / (1 + m f^2)^2 (the
-    rotational momentum of a unit-speed meridian) must be constant in u;
-    returns (verdict, max - min over a 256-point grid).  Requires the
-    profile to satisfy the arc-length normalisation, i.e. a nonnegative
-    radicand.
+    The meridians are geodesics exactly when Gamma^v_uu = (E F' - F E'/2) / det
+    vanishes on the domain, i.e. when F / sqrt(E) is constant in u, for any
+    immersed profile; -2 F / sqrt(E) is the rotational momentum of a
+    meridian run at unit speed.
     """
-    l, m = params.l, params.m
-    vals = np.empty(256)
-    for i, u in enumerate(profile.grid(256)):
-        fv, fpv = profile.f(u), profile.fp(u)
-        d = 1.0 + m * fv * fv
-        vals[i] = l * fv * fv * math.sqrt(_unit_radicand(d * d, fpv * fpv, u)) / (d * d)
+    fvals = _profile_values(profile.grid(256), profile.f, profile.fp, profile.gp)
+    e, f, _ = _form_coefficients(params, *fvals)
+    vals = -2.0 * f / np.sqrt(e)
     deviation = float(np.max(vals) - np.min(vals))
     return deviation < MERIDIAN_TOL, deviation

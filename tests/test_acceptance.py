@@ -20,7 +20,7 @@ from cvgeo.connection import (
     frame_sectional,
     sectional_curvature,
 )
-from cvgeo.profiles import cylinder, random_profile, slice_profile, tan_profile, tanh_profile
+from cvgeo.profiles import cone, cylinder, random_profile, slice_profile, tan_profile, tanh_profile
 from cvgeo.space import MetricParams, Point3
 from cvgeo.surfaces import (
     SurfaceGeodesicState,
@@ -320,6 +320,34 @@ def test_criterion_10_surface_criteria_duality():
         check("product parallel (critical)", ok_p, _parallel_drift(params, prof, u_star))
         ok_m, _ = meridian_is_geodesic(params, prof)
         check("product meridian", ok_m, _meridian_drift(params, prof, u_star))
+
+    # class 5: twisted cones and slices f = u, not at unit speed (E != 1);
+    # for m > 0 the parallel f^2 = 2 / (2 m - l^2) is critical, for m < 0
+    # none is; slice meridians are geodesics (F = 0), cone meridians not
+    for i in range(12):
+        l = float(rng.uniform(0.3, 0.9)) * (1 if rng.uniform() < 0.5 else -1)
+        if i % 2 == 0:
+            m = float(rng.uniform(0.8, 1.5))
+            hi = 2.0
+        else:
+            m = float(rng.uniform(-1.5, -0.5))
+            hi = 0.9 / math.sqrt(-m)
+        params = MetricParams(l, m)
+        k = float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1)
+        for prof in (cone(k, (0.2, hi)), slice_profile(0.0, (0.2, hi))):
+            name = f"{prof.name} m {'>' if m > 0 else '<'} 0"
+            if m > 0:
+                u_root = math.sqrt(2.0 / (2.0 * m - l * l))
+                ok_p, _ = parallel_is_geodesic(params, prof, u_root)
+                check(f"{name} critical parallel", ok_p, _parallel_drift(params, prof, u_root))
+                u_bad = 0.5 * u_root
+            else:
+                u_bad = float(rng.uniform(0.3, 0.6 * hi))
+            ok_b, res_b = parallel_is_geodesic(params, prof, u_bad)
+            assert not ok_b and abs(res_b) > 1e-4
+            check(f"{name} generic parallel", ok_b, _parallel_drift(params, prof, u_bad))
+            ok_m, _ = meridian_is_geodesic(params, prof)
+            check(f"{name} meridian", ok_m, _meridian_drift(params, prof, 0.5 * (0.2 + hi)))
 
     # cylinder geodesics are helices
     params = MetricParams(1.0, 0.5)

@@ -256,6 +256,31 @@ def test_surface_meridians_tan_true(capsys):
     assert json.loads(out.strip())["geodesic"] is True
 
 
+@pytest.mark.parametrize(
+    "flags, geodesic",
+    [
+        (("--l", "1", "--m", "0", "--profile", "cone"), False),
+        (("--l", "1", "--m", "0.5", "--profile", "slice"), True),
+        (("--l", "1", "--m", "-0.5", "--profile", "slice"), True),
+    ],
+    ids=["cone", "slice-m-positive", "slice-m-negative"],
+)
+def test_surface_meridians_verdict_matches_meridian_start(capsys, flags, geodesic):
+    # none of these profiles is at unit speed; the verdict must agree with
+    # the v drift of the geodesic started along the meridian v = 0
+    code, out, err = run_cli(capsys, "surface", *flags, "--action", "meridians")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["geodesic"] is geodesic
+    code, out, _ = run_cli(
+        capsys, "surface", *flags, "--action", "geodesic",
+        "--su", "0.5", "--sdu", "1", "--sdv", "0", "--t-max", "0.3", "--samples", "31",
+    )
+    assert code == 0
+    header, rows = parse_csv(out)
+    drift = float(np.max(np.abs(rows[:, header.index("v")])))
+    assert drift < 1e-10 if geodesic else drift > 1e-3
+
+
 def test_surface_geodesic_csv_momentum_column(capsys):
     code, out, _ = run_cli(
         capsys, "surface", "--l", "1", "--m", "0.5", "--profile", "cylinder", "--a", "1.2",

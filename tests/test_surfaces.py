@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from battery import nearest_radius_extremum
 from oracles import embed, meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
@@ -331,16 +332,38 @@ def test_meridian_criterion_generic_fails():
     assert not ok and dev > 1e-4
 
 
-def test_meridian_negative_radicand_rejected():
-    # f' exceeds the conformal factor: not unit-compatible
+def test_meridian_criterion_steep_profile():
+    # f' exceeds the conformal factor, so no unit-speed reparametrisation
+    # exists; the criterion reads (E, F, G) and needs none: with g' = 0,
+    # F = 0 and every meridian is a geodesic
     from cvgeo.profiles import RevolutionProfile
 
     steep = RevolutionProfile(
         f=lambda u: 3.0 * u, fp=lambda u: 3.0, fpp=lambda u: 0.0,
         g=lambda u: 0.0, gp=lambda u: 0.0, gpp=lambda u: 0.0, u_domain=(0.2, 1.0),
     )
-    with pytest.raises(ValueError):
-        meridian_is_geodesic(MetricParams(1.0, 0.0), steep)
+    params = MetricParams(1.0, 0.0)
+    assert meridian_is_geodesic(params, steep) == (True, 0.0)
+    traj = surface_geodesic_integrate(params, steep, SurfaceGeodesicState(0.3, 0.7, 1.0, 0.0), 0.5)
+    assert len(traj.ts) > 2
+    assert np.max(np.abs(traj.states[:, 1] - 0.7)) < 1e-10
+
+
+def test_meridian_criterion_reparametrised_cylinder():
+    # g = u + 0.3 u^2: E = g'^2 varies and F is proportional to g', so
+    # F / sqrt(E) is constant and the meridians stay geodesics
+    from cvgeo.profiles import RevolutionProfile
+
+    prof = RevolutionProfile(
+        f=lambda u: 0.8, fp=lambda u: 0.0, fpp=lambda u: 0.0,
+        g=lambda u: u + 0.3 * u * u, gp=lambda u: 1.0 + 0.6 * u, gpp=lambda u: 0.6, u_domain=(0.0, 2.0),
+    )
+    params = MetricParams(1.3, -0.4)
+    ok, dev = meridian_is_geodesic(params, prof)
+    assert ok and dev < 1e-14
+    traj = surface_geodesic_integrate(params, prof, SurfaceGeodesicState(0.5, 0.7, 0.4, 0.0), 2.0)
+    assert len(traj.ts) > 2
+    assert np.max(np.abs(traj.states[:, 1] - 0.7)) < 1e-10
 
 
 def test_unit_speed_profile_rejects_steep_radius():
@@ -484,19 +507,45 @@ def test_meridian_criterion_duality():
     assert np.max(np.abs(traj0.states[:, 1] - 0.7)) < 1e-6
 
 
-def test_surface_rhs_matches_fd_oracle():
+# m = 0 and |m| log-swept from 1e-12 to 2, either sign
+SWEPT_M = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+              st.floats(-12.0, math.log10(2.0))),
+)
+
+
+def _cli_profiles(m):
+    """The five profile kinds of `cvgeo surface` inside the m < 0 disk; tan
+    for m > 0 and tanh for m < 0 only, unshifted so that f -> u as m -> 0."""
+    r = 1.0 if m >= -1.0 else 1.0 / math.sqrt(-m)
+    profs = [cylinder(0.6 * r), cone(0.5, (0.2 * r, 0.9 * r)), slice_profile(0.0, (0.2 * r, 0.9 * r))]
+    if m > 0.0:
+        profs.append(tan_profile(m, 0.0))
+    elif m < 0.0:
+        profs.append(tanh_profile(m, 0.0))
+    return profs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(l=st.floats(-2.0, 2.0), m=SWEPT_M, seed=st.integers(0, 2**32 - 1))
+def test_surface_rhs_matches_fd_oracle(l, m, seed):
     # the oracle's rounding error is ~1e-16 E/1e-6 on each coefficient
-    # derivative, so the bound is relative to the size of the rhs
-    rng = RNG(41)
-    for _ in range(20):
-        params = random_params(rng)
-        prof = random_profile(params, rng)
+    # derivative, so the bounds are relative to the size of the rhs and of G'
+    params = MetricParams(l, m)
+    rng = RNG(seed)
+    h = 1e-6
+    for prof in [random_profile(params, rng), *_cli_profiles(m)]:
         lo, hi = prof.u_domain
-        for u in np.linspace(lo + 1e-3, hi - 1e-3, 15):
-            y4 = (float(u), 0.3, float(rng.uniform(-1, 1)), float(rng.uniform(-1.5, 1.5)))
+        for u in np.linspace(lo + 1e-3, hi - 1e-3, 9).tolist():
+            y4 = (u, 0.3, float(rng.uniform(-1, 1)), float(rng.uniform(-1.5, 1.5)))
             exact = cvgeo.surfaces._surface_rhs(params, prof, y4)
             scale = max(1.0, np.max(np.abs(exact)))
             assert np.max(np.abs(exact - surface_rhs_fd(params, prof, y4))) < 1e-7 * scale
+            _, residual = parallel_is_geodesic(params, prof, u)
+            g_hi = reference_form_coefficients(params, prof, u + h)[2]
+            g_lo = reference_form_coefficients(params, prof, u - h)[2]
+            assert abs(residual - (g_hi - g_lo) / (2.0 * h)) < 1e-7 * max(1.0, abs(residual))
 
 
 @pytest.mark.parametrize("errstate", [{}, {"over": "raise"}])
