@@ -8,8 +8,7 @@ integer in [1, 1000000]; --samples and --count must not exceed 1000000
 and --seed must not be negative (else 65).  Inputs that the library
 rejects are invalid (65): values outside a profile or the m < 0 disk,
 a profile domain without u-min < u-max, values whose evaluation
-overflows or whose output is not finite, closed-form velocities at times
-too large for their difference step, and integrations whose step
+overflows or whose output is not finite, and integrations whose step
 underflows or that exhaust their step budget; each prints one line to
 stderr.  The environment variable CVGEO_TOL overrides the default
 integrator tolerance (1e-10); it must be a finite positive float, else
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._rk import IntegrationError, StepSizeUnderflow
 from .audits import SUITES, run_suite
-from .closed_forms import closed_form_geodesic, numeric_velocity
+from .closed_forms import closed_form_geodesic
 from .connection import (
     BOUNDARY_MARGIN,
     DEFAULT_TOL,
@@ -177,7 +176,7 @@ def cmd_geodesic(args) -> int:
         if t_stop is not None:
             ts = np.linspace(0.0, t_stop, args.samples)
             pos = closed.position(ts)
-        states = np.hstack([pos, numeric_velocity(closed.position, ts)])
+        states = np.hstack([pos, closed.velocity(ts)])
         _print_rows(TRACE_HEADER, np.column_stack([ts, states, *annotate_states(params, states)]))
         return EXIT_OK if t_stop is None else EXIT_PARTIAL
 
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         print(f"{args.command}: input out of range: {text}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, StepSizeUnderflow, IntegrationError) as exc:
-        # ValueError: invalid input, DomainError and BranchDomainError included
+        # ValueError: invalid input, DomainError included
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return code
