@@ -4,16 +4,16 @@ Exit codes: 0 success, 1 audit failure, closed/numeric mismatch or a
 closed output pipe, 3 domain-exit partial result (for --method closed:
 the closed form reached the m < 0 stop shell), 64 usage error,
 65 invalid input.  Float flags take finite numbers only and --grid an
-integer in [1, 1000000]; --samples and --count must not exceed 1000000
-and --seed must not be negative (else 65).  Inputs that the library
-rejects are invalid (65): values outside a profile or the m < 0 disk,
-a profile domain without u-min < u-max, values whose evaluation
-overflows or whose output is not finite, and integrations whose step
-underflows or that exhaust their step budget; each prints one line to
-stderr.  The environment variable CVGEO_TOL overrides the default
-integrator tolerance (1e-10); it must be a finite positive float, else
-the run is a usage error.  Output is deterministic for fixed flags and
-seed; floats are printed in shortest round-trip form.
+integer in [1, 1000000]; --samples must be in [2, 1000000], --count
+must not exceed 1000000 and --seed must not be negative (else 65).
+Inputs that the library rejects are invalid (65): values outside a
+profile or the m < 0 disk, a profile domain without u-min < u-max,
+values whose evaluation overflows or whose output is not finite, and
+integrations whose step underflows or that exhaust their step budget;
+each prints one line to stderr.  The environment variable CVGEO_TOL
+overrides the default integrator tolerance (1e-10); it must be a finite
+positive float, else the run is a usage error.  Output is deterministic
+for fixed flags and seed; floats are printed in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -250,8 +250,8 @@ def cmd_surface(args) -> int:
         return EXIT_OK
 
     # the geodesic action
-    if not 1 <= args.samples <= MAX_COUNT:
-        raise ValueError(f"need 1 <= samples <= {MAX_COUNT}")
+    if not 2 <= args.samples <= MAX_COUNT:
+        raise ValueError(f"need 2 <= samples <= {MAX_COUNT}")
     s0 = SurfaceGeodesicState(args.su, args.sv, args.sdu, args.sdv)
     traj = surface_geodesic_integrate(
         params, profile, s0, args.t_max, tol=args.tol, samples=args.samples

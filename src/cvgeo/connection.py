@@ -1,12 +1,10 @@
 """Levi-Civita connection, curvature and the numeric geodesic integrator.
 
 The connection has one formulation: the frame connection of the
-E(kappa, tau) spaces (kappa = 4m, tau = l/2) written back in coordinates.
-The geodesic rhs is its acceleration, a few scalar operations per
-evaluation, and its polarised form, the bilinear map Gamma(a, b) of
-`_gamma_pair`, is the one connection map: the second fundamental form of
-a surface contracts it with the surface tangents, and `christoffel`, its
-table Gamma(e_i, e_j) at one point, serves the Killing defects.  The
+E(kappa, tau) spaces (kappa = 4m, tau = l/2) written back in coordinates
+as the geodesic acceleration A(v) = -Gamma(v, v) of `_rhs_entries`, a few
+scalar operations per evaluation.  `christoffel`, the table Gamma(e_i, e_j)
+at one point that the Killing defects read, is its polarisation.  The
 curvature tensor is the closed form of the E(kappa, tau) spaces.  The
 Koszul symbols, the rhs from them and finite differences of the metric
 and of the symbols are the oracles of these closed forms; they live with
@@ -71,56 +69,12 @@ class GeodesicState:
         return np.concatenate([self.point.as_array(), np.asarray(self.velocity, dtype=float)])
 
 
-def _gamma_pair(l: float, m: float, x: float, y: float, a, b) -> tuple:
-    """Gamma(a, b) = Gamma^k_ij a^i b^j: the frame connection of
-    `_rhs_entries`, polarised.
-
-    With D = 1 + m rho^2, s = l^2/2 - 2m and, for a vector a,
-    r_a = (x a_x + y a_y)/D, c_a = (y a_x - x a_y)/D and K_a = l a_z + s c_a:
-        Gamma^x = -m (r_a b_x + a_x r_b) + (K_a b_y + a_y K_b)/2
-        Gamma^y = -m (r_a b_y + a_y r_b) - (K_a b_x + a_x K_b)/2
-        Gamma^z = -(l/4) (K_a r_b + r_a K_b)
-    so -Gamma(v, v) is the acceleration of `_rhs_entries`, and
-    Gamma(a, b) = Gamma(b, a) bit for bit.  a and b are component triples;
-    x, y and the components are floats, or arrays on which every term is
-    computed elementwise.  Callers check the domain: here D <= 0 is not
-    caught.
-    """
-    ax, ay, az = a
-    bx, by, bz = b
-    D = 1.0 + m * (x * x + y * y)
-    s = 0.5 * l * l - 2.0 * m
-    ra = (x * ax + y * ay) / D
-    rb = (x * bx + y * by) / D
-    ka = l * az + s * (y * ax - x * ay) / D
-    kb = l * bz + s * (y * bx - x * by) / D
-    return (
-        -m * (ra * bx + ax * rb) + 0.5 * (ka * by + ay * kb),
-        -m * (ra * by + ay * rb) - 0.5 * (ka * bx + ax * kb),
-        -0.25 * l * (ka * rb + ra * kb),
-    )
-
-
-_BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-def christoffel(params: MetricParams, p) -> np.ndarray:
-    """Gamma^k_ij of the Levi-Civita connection at one point, shape (3, 3, 3):
-    the table of `_gamma_pair` on the coordinate basis, Gamma(e_i, e_j)."""
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
-    l, m = params.l, params.m
-    table = [_gamma_pair(l, m, x, y, ei, ej) for ei in _BASIS for ej in _BASIS]
-    return np.array(table).T.reshape(3, 3, 3)
-
-
 def _rhs_entries(l: float, m: float, y6) -> tuple:
     """Geodesic rhs (v, a) in closed form: the E(kappa, tau) frame connection
     written back in coordinates by the chain rule.
 
     With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
-    K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)); r and K are the
-    r_v and K_v of `_gamma_pair`, where K_v = l vz + s c:
+    K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)):
         ax = 2 m r vx - K vy,  ay = 2 m r vy + K vx,  az = (l/2) K r.
     The state is a list of Python floats and the result a tuple of them.
     numpy's errstate does not watch Python floats, so a D or an
@@ -143,6 +97,29 @@ def _rhs_entries(l: float, m: float, y6) -> tuple:
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
         raise FloatingPointError("overflow encountered in the geodesic rhs")
     return vx, vy, vz, ax, ay, az
+
+
+def christoffel(params: MetricParams, p) -> np.ndarray:
+    """Gamma^k_ij of the Levi-Civita connection at one point, shape (3, 3, 3).
+
+    The acceleration A(v) = -Gamma(v, v) of `_rhs_entries`, polarised:
+    Gamma(e_i, e_i) = -A(e_i) and Gamma(e_i, e_j) = (A(e_i) + A(e_j) -
+    A(e_i + e_j)) / 2, from six rhs calls; each Gamma^k_ij with i != j is
+    computed once, so the table is symmetric in (i, j) bit for bit.  An
+    acceleration that overflows raises FloatingPointError.
+    """
+    require_in_domain(params, p)
+    x, y, _ = _xyz(p)
+    l, m = float(params.l), float(params.m)
+    # A at e_i, then at e_i + e_j, for each pair (i, j)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    vels = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0))
+    acc = [_rhs_entries(l, m, [x, y, 0.0, *v])[3:] for v in vels]
+    gam = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for k, gk in enumerate(gam):
+        for (i, j), a in zip(pairs, acc):
+            gk[i][j] = gk[j][i] = -a[k] if i == j else 0.5 * (acc[i][k] + acc[j][k] - a[k])
+    return np.array(gam)
 
 
 def state_speed(params: MetricParams, point, velocity):

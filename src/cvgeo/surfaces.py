@@ -6,23 +6,21 @@ A surface of revolution is the image of
 
     X(u, v) = (f(u) cos v, f(u) sin v, g(u)),        0 <= v < 2 pi,
 
-with a `RevolutionProfile` supplying f, g and derivatives.  The first
-fundamental form is the pullback of the ambient metric through the
-Jacobian of X; the second uses the metric unit normal and ambient
-covariant derivatives of the coordinate tangents, with the exact second
-derivatives of X in f, f', f'' and g', g''.  Both take one point (u, v) or
-an (N, 2) grid and evaluate it in one array pass: the profile callables
-once per distinct u, one `metric_tensor` call for all points, the
-connection map Gamma(a, b) of `cvgeo.connection` on the grid arrays, and
-the height g once per call, at the largest u (the metric
-does not depend on z; for unit-speed profiles that quadrature of g' is the
-unit-compatibility check).  The closed-form induced metric (E, F, G) of
-`reference_form_coefficients` depends on u only, and everything else reads
-it: surface geodesics solve the Euler-Lagrange equations of (E, F, G),
-with the rotational momentum p_v = 2 G v' + 2 F u' they conserve as the
-independent check; a parallel u = u0 is a geodesic exactly where G'(u0) = 0
-and the meridians are geodesics exactly where F / sqrt(E) is constant, for
-any immersed profile, at unit speed or not.
+with a `RevolutionProfile` supplying f, g and derivatives.  Rotations
+about the z axis are isometries, so every invariant of the surface is a
+function of u alone.  The closed-form induced metric (E, F, G) of
+`reference_form_coefficients` is the one first form: the second form, in
+closed form in f, f', f'', g' and g'', is built on it, surface geodesics
+solve its Euler-Lagrange equations, with the rotational momentum
+p_v = 2 G v' + 2 F u' they conserve as the independent check, a parallel
+u = u0 is a geodesic exactly where G'(u0) = 0, and the meridians are
+geodesics exactly where F / sqrt(E) is constant, for any immersed profile,
+at unit speed or not.  `first_fundamental_form`, the pullback J^T g J of
+the ambient metric, is the independent route that the audits check (E, F,
+G) against.  Both forms take one point (u, v) or an (N, 2) grid, with the
+profile callables once per distinct u and the height g once per call, at
+the largest u (the metric does not depend on z; for unit-speed profiles
+that quadrature of g' is the unit-compatibility check).
 """
 
 from __future__ import annotations
@@ -33,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .connection import _gamma_pair
 from .profiles import RevolutionProfile
-from .space import DomainError, MetricParams, _metric_scalars, metric_tensor, require_in_domain
+from .space import DomainError, MetricParams, metric_tensor, require_in_domain
 
 __all__ = [
     "FundamentalForms",
@@ -88,66 +85,61 @@ def _profile_values(u: np.ndarray, *fns) -> list[np.ndarray]:
     return [np.array([fn(x) for x in xs])[index] for fn in fns]
 
 
-@dataclass(frozen=True)
-class _Patch:
-    """The embedding at the rows (u, v) of a grid: cos v and sin v, the
-    points (f cos v, f sin v, 0) (the metric does not depend on z), the
-    Jacobians (columns X_u, X_v), the metrics and the first forms."""
-
-    u: np.ndarray
-    cos_v: np.ndarray
-    sin_v: np.ndarray
-    point: np.ndarray
-    jac: np.ndarray
-    metric: np.ndarray
-    first: np.ndarray
-
-
-def _patch(params: MetricParams, profile: RevolutionProfile, q) -> tuple[_Patch, bool]:
-    """The embedding at q, a point (u, v) or an (N, 2) grid, and whether q
-    was one point.
+def _profile_rows(params: MetricParams, profile: RevolutionProfile, q, *derivs):
+    """q, a point (u, v) or an (N, 2) grid, read as rows: whether q was one
+    point, the v column, and f, f', g' and each of derivs at every row.
 
     The profile callables run once per distinct u.  The height g runs once, at
     the largest u: no form needs it, and for a unit-speed profile its
-    quadrature of g' over [u_lo, max u] is the unit-compatibility check.
-    One `metric_tensor` call serves every point; the pullback J^T g J
-    rejects a degenerate Jacobian.
+    quadrature of g' over [u_lo, max u] is the unit-compatibility check.  The
+    m < 0 disk bounds the radius f only, and the first row outside it, in
+    grid order, raises `require_in_domain`'s DomainError.
     """
     q = np.asarray(q, dtype=float)
     u, v = q.reshape(-1, 2).T
     profile.g(float(u.max()))
-    fv, fpv, gpv = _profile_values(u, profile.f, profile.fp, profile.gp)
+    values = _profile_values(u, profile.f, profile.fp, profile.gp, *derivs)
+    if params.m < 0.0:
+        outside = ~(values[0] * values[0] < -1.0 / params.m)
+        if outside.any():
+            require_in_domain(params, (values[0][outside][0], 0.0, 0.0))
+    return q.ndim == 1, v, values
+
+
+def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
+    """Pullback J^T g J of the ambient metric through the embedding, at a
+    point q = (u, v) (shape (2, 2)) or an (N, 2) grid (shape (N, 2, 2)).
+
+    The route is independent of the closed-form (E, F, G), which the
+    `pullback-coefficients` audit checks against it: the Jacobian columns
+    X_u = (f' cos v, f' sin v, g') and X_v = (-f sin v, f cos v, 0) and
+    one `metric_tensor` call at the points (f cos v, f sin v, 0) for all
+    rows (the metric does not depend on z).
+    """
+    single, v, (fv, fpv, gpv) = _profile_rows(params, profile, q)
     cv, sv = np.cos(v), np.sin(v)
-    point = np.zeros((len(u), 3))
+    point = np.zeros((len(v), 3))
     point[:, 0] = fv * cv
     point[:, 1] = fv * sv
-    jac = np.zeros((len(u), 3, 2))
+    jac = np.zeros((len(v), 3, 2))
     jac[:, 0, 0] = fpv * cv
     jac[:, 1, 0] = fpv * sv
     jac[:, 2, 0] = gpv
     jac[:, 0, 1] = -point[:, 1]
     jac[:, 1, 1] = point[:, 0]
-    g = metric_tensor(params, point)
-    first = np.swapaxes(jac, 1, 2) @ g @ jac
-    det = first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] * first[:, 1, 0]
-    if (det <= 0.0).any():
+    first = np.swapaxes(jac, 1, 2) @ metric_tensor(params, point) @ jac
+    if (first[:, 0, 0] * first[:, 1, 1] - first[:, 0, 1] * first[:, 1, 0] <= 0.0).any():
         raise ValueError("degenerate surface Jacobian")
-    return _Patch(u, cv, sv, point, jac, g, first), q.ndim == 1
-
-
-def first_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
-    """Pullback J^T g J of the ambient metric through the embedding, at a
-    point q = (u, v) (shape (2, 2)) or an (N, 2) grid (shape (N, 2, 2))."""
-    patch, single = _patch(params, profile, q)
-    return patch.first[0] if single else patch.first
+    return first[0] if single else first
 
 
 def reference_form_coefficients(params: MetricParams, profile: RevolutionProfile, u: float):
     """Closed-form induced-metric coefficients (E, F, G) at u.
 
     Independent of the pullback route, which they cross-check; they also
-    drive the surface-geodesic equations, their p_v/speed annotations and
-    both geodesic criteria:
+    give the first form of `second_fundamental_form` and drive the
+    surface-geodesic equations, their p_v/speed annotations and both
+    geodesic criteria:
         E = f'^2 / (1 + m f^2)^2 + g'^2
         F = -l f^2 g' / (2 (1 + m f^2))
         G = f^2 (4 + l^2 f^2) / (4 (1 + m f^2)^2)
@@ -179,53 +171,46 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
     point q = (u, v), with shapes (2, 2), (2, 2) and (3,), or at an (N, 2)
     grid, with shapes (N, 2, 2), (N, 2, 2) and (N, 3).
 
-    B_ab = g(nabla_{X_a} X_b, xi) = (X_ab + Gamma(X_a, X_b)) . g xi, with
-    the connection map Gamma(a, b) on the tangents and the exact second
-    derivatives X_uu = (f'' cos v, f'' sin v, g''),
-    X_uv = (-f' sin v, f' cos v, 0) and X_vv = (-f cos v, -f sin v, 0); B_uv
-    is computed once, so B is symmetric.  The metric unit normal xi is
-    oriented by the sign of its omega^3 value, falling back to omega^1 then
-    omega^2 where earlier ones vanish.  One call evaluates the height g
-    once and `metric_tensor` once, whatever the number of points, and no
-    Christoffel table; a failed check reports its first point in grid order.
+    Rotations about the z axis are isometries, so both forms depend on u
+    only, in closed form in f, f', f'', g' and g''.  With d = 1 + m f^2,
+    k = 4m - l^2 and W = E G - F^2 (E, F, G of `_form_coefficients`):
+        B_uu = s f (2 d (f' g'' - f'' g') + k f f'^2 g') / (2 d^3 sqrt(W))
+        B_uv = -s l f^2 (4 d^2 g'^2 + k f^2 f'^2) / (8 d^4 sqrt(W))
+        B_vv = s f^2 g' (2 + (l^2 - 2m) f^2) / (2 d^3 sqrt(W))
+    For a z-slice B_uv = -s l k f^4 / (8 d^4 sqrt(W)) is the only entry:
+    it vanishes iff l = 0 or 4m = l^2.  The unit normal xi has the frame
+    components s (-2 d g', l f f', 2 f') / r, r = sqrt(4 d^2 g'^2 +
+    (4 + l^2 f^2) f'^2), at v = 0, and its (omega^1, omega^2) turn with v.
+    The orientation s = sign(omega^3(xi)) = sign(f') where |2 f' / r| >
+    1e-10; elsewhere xi points outward, s = -sign(g'), at every v alike.
+    No metric, connection or cross product is evaluated; W <= 0 raises.
     """
-    patch, single = _patch(params, profile, q)
-    g, jac, point = patch.metric, patch.jac, patch.point
-    n_points = len(point)
-    r = g @ jac
-    n = np.cross(r[:, :, 0], r[:, :, 1])
-    norm2 = np.einsum("ni,nij,nj->n", n, g, n)
-    if (norm2 <= 1e-28).any():
-        raise ValueError("degenerate tangent plane")
-    xi = n / np.sqrt(norm2)[:, None]
-    d, al, be = _metric_scalars(params, point[:, 0], point[:, 1])
-    w1, w2 = xi[:, 0] / d, xi[:, 1] / d
-    w3 = al * xi[:, 0] + be * xi[:, 1] + xi[:, 2]
-    comp = np.where(np.abs(w3) > 1e-10, w3, np.where(np.abs(w1) > 1e-10, w1, w2))
-    xi[comp < -1e-10] *= -1.0
-    gxi = np.einsum("nij,nj->ni", g, xi)
-
-    fppv, gppv = _profile_values(patch.u, profile.fpp, profile.gpp)
-    # components k, entries (uu, uv, vv), points: one Gamma call for all
-    t_u, t_v = jac.T
-    zero = np.zeros(n_points)
-    x_ab = np.array(
-        [
-            [fppv * patch.cos_v, -t_u[1], -point[:, 0]],
-            [fppv * patch.sin_v, t_u[0], -point[:, 1]],
-            [gppv, zero, zero],
-        ]
+    single, v, (fv, fpv, gpv, fppv, gppv) = _profile_rows(params, profile, q, profile.fpp, profile.gpp)
+    l, m = params.l, params.m
+    e, f, g = _form_coefficients(params, fv, fpv, gpv)
+    w = e * g - f * f
+    if (w <= 0.0).any():
+        raise ValueError("degenerate surface Jacobian")
+    f2 = fv * fv
+    d = 1.0 + m * f2
+    k = 4.0 * m - l * l
+    r = np.sqrt(4.0 * d * d * gpv * gpv + (4.0 + l * l * f2) * fpv * fpv)
+    s = np.where(np.abs(2.0 * fpv / r) > 1e-10, np.sign(fpv), -np.sign(gpv))
+    n_rad, n_ang, n_up = s * -2.0 * d * gpv / r, s * l * fv * fpv / r, s * 2.0 * fpv / r
+    cv, sv = np.cos(v), np.sin(v)
+    normal = np.column_stack(
+        [d * (cv * n_rad - sv * n_ang), d * (sv * n_rad + cv * n_ang), 0.5 * l * fv * n_ang + n_up]
     )
-    gam = _gamma_pair(
-        params.l, params.m, point[:, 0], point[:, 1], np.stack([t_u, t_u, t_v], 1), np.stack([t_u, t_v, t_v], 1)
-    )
-    b_ab = np.einsum("kan,nk->an", x_ab + np.array(gam), gxi)
-    second = np.empty((n_points, 2, 2))
-    second[:, 0, 0], second[:, 1, 1] = b_ab[0], b_ab[2]
-    second[:, 0, 1] = second[:, 1, 0] = b_ab[1]
+    sw = s / np.sqrt(w)
+    b_uu = sw * fv * (2.0 * d * (fpv * gppv - fppv * gpv) + k * fv * fpv * fpv * gpv) / (2.0 * d ** 3)
+    b_uv = -sw * l * f2 * (4.0 * d * d * gpv * gpv + k * f2 * fpv * fpv) / (8.0 * d ** 4)
+    b_vv = sw * f2 * gpv * (2.0 + (l * l - 2.0 * m) * f2) / (2.0 * d ** 3)
+    # + 0.0 turns a -0.0 entry (l = 0 or g' = 0) into 0.0
+    first = np.stack([e, f, f, g], -1).reshape(-1, 2, 2) + 0.0
+    second = np.stack([b_uu, b_uv, b_uv, b_vv], -1).reshape(-1, 2, 2) + 0.0
     if single:
-        return FundamentalForms(first=patch.first[0], second=second[0], normal=xi[0])
-    return FundamentalForms(first=patch.first, second=second, normal=xi)
+        return FundamentalForms(first=first[0], second=second[0], normal=normal[0])
+    return FundamentalForms(first=first, second=second, normal=normal)
 
 
 def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8) -> np.ndarray:
@@ -363,11 +348,14 @@ def surface_geodesic_integrate(
 
     Conserves the induced speed and the rotational momentum
     p_v = 2 G v' + 2 F u' to integrator accuracy.  Leaving the profile
-    domain ends the run with the partial trajectory ("domain-exit").
+    domain ends the run with the partial trajectory ("domain-exit").  With
+    `samples` (at least 2) given, the rows sit on a uniform time grid.
     """
     lo, hi = profile.u_domain
     if not profile.contains(s0.u):
         raise ValueError(f"u0 = {s0.u!r} outside the profile domain [{lo!r}, {hi!r}]")
+    if samples is not None and samples < 2:
+        raise ValueError("samples must be at least 2")
 
     def rhs(y4):
         return _surface_rhs(params, profile, y4)

@@ -3,20 +3,23 @@
 `koszul_christoffel_entries` assembles the Christoffel symbols by the
 Koszul formula from analytic partials of the metric and the exact inverse
 metric, and `christoffel_fd` from finite differences of the metric and a
-numeric inverse: the oracles of the closed-form connection map
-`cvgeo.connection._gamma_pair` and its table `christoffel`.
+numeric inverse: the oracles of `cvgeo.connection.christoffel`, the
+polarised geodesic acceleration.
 `conformal_factor` and `coframe_values` are D and the coframe at a point,
 and `containment_surfaces` the cylinder or plane that holds an origin
 geodesic, for the tests of the metric, the frame and the Killing
 integrals.  `koszul_rhs` is the geodesic rhs from the Koszul
 symbols and `killing_pairings` the first integrals from the metric matrix
 and the Killing fields: the oracles of the closed-form rhs and of the
-fused first integrals.  `curvature_fd`, `second_fundamental_form_fd` and
-`surface_rhs_fd` take by finite differences what the library computes in
-closed form: the curvature from the Christoffel symbols, the coordinate
-second derivatives of a surface from its tangents (one point at a time,
-with `embed`, `_unit_normal` and the Koszul symbols), and the u
-derivatives of the induced metric.  `meridian_profile_ode_residual` is
+fused first integrals.  `curvature_fd` takes by finite differences of the
+Christoffel symbols what the library computes in closed form, and
+`surface_rhs_fd` the u derivatives of the induced metric.  The closed-form
+second fundamental form of `cvgeo.surfaces` has two oracles, both one
+point at a time, with `embed`, `_unit_normal` (a cross product in the
+metric) and the Koszul symbols: `second_fundamental_form_koszul` takes
+the exact second derivatives of the embedding from f'' and g'', and
+`second_fundamental_form_fd` finite differences of its tangents.
+`meridian_profile_ode_residual` is
 the radius equation of the profiles whose meridians are geodesics,
 against which `cvgeo.surfaces.meridian_is_geodesic` is checked.  `annotate_rows` is
 the row-at-a-time annotation, one `first_integrals` and one one-point
@@ -143,7 +146,7 @@ def christoffel_fd(params: MetricParams, p, h: float = 1e-5) -> np.ndarray:
 
 def koszul_christoffel_entries(l: float, m: float, x: float, y: float):
     """Gamma^k_ij as nested lists, from analytic metric partials through the
-    Koszul formula; the oracle of the closed-form `connection._gamma_pair`.
+    Koszul formula; the oracle of `connection.christoffel`.
 
     Metric components: g = [[Q + a^2, a b, a], [a b, Q + b^2, b], [a, b, 1]]
     with Q = 1/D^2, a = l y / (2D), b = -l x / (2D), D = 1 + m (x^2 + y^2).
@@ -320,20 +323,38 @@ def embed(profile: RevolutionProfile, q) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_normal(params: MetricParams, g: np.ndarray, point, jac) -> np.ndarray:
     """Metric unit normal for the metric g at point, oriented by the sign
-    of its omega^3 value (falling back to omega^1 then omega^2 where
-    earlier ones vanish)."""
+    of its omega^3 value, or outward (by the sign of x xi^x + y xi^y) where
+    that vanishes."""
     n = np.cross(g @ jac[:, 0], g @ jac[:, 1])
     norm2 = float(n @ g @ n)
     if norm2 <= 1e-28:
         raise ValueError("degenerate tangent plane")
     n = n / math.sqrt(norm2)
-    w = coframe_values(params, point, n)
-    for comp in (w[2], w[0], w[1]):
-        if abs(comp) > 1e-10:
-            if comp < 0.0:
-                n = -n
-            break
-    return n
+    w3 = coframe_values(params, point, n)[2]
+    comp = w3 if abs(w3) > 1e-10 else point[0] * n[0] + point[1] * n[1]
+    return -n if comp < 0.0 else n
+
+
+def second_fundamental_form_koszul(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:
+    """B_ab = g(X_ab + Gamma^k_ij X_a^i X_b^j, xi) at one point q = (u, v),
+    with the exact second derivatives X_uu = (f'' cos v, f'' sin v, g''),
+    X_uv = (-f' sin v, f' cos v, 0) and X_vv = (-f cos v, -f sin v, 0), the
+    Koszul symbols of `koszul_christoffel_entries` and `_unit_normal`."""
+    u, v = float(q[0]), float(q[1])
+    point, jac = embed(profile, (u, v))
+    g = metric_tensor(params, point)
+    gxi = g @ _unit_normal(params, g, point, jac)
+    gam = np.array(koszul_christoffel_entries(params.l, params.m, point[0], point[1]))
+    fppv = profile.fpp(u)
+    x_ab = (
+        ((0, 0), (fppv * math.cos(v), fppv * math.sin(v), profile.gpp(u))),
+        ((0, 1), (-jac[1, 0], jac[0, 0], 0.0)),
+        ((1, 1), (-point[0], -point[1], 0.0)),
+    )
+    b = np.empty((2, 2))
+    for (a, c), dd in x_ab:
+        b[a, c] = b[c, a] = float((dd + np.einsum("kij,i,j->k", gam, jac[:, a], jac[:, c])) @ gxi)
+    return b
 
 
 def second_fundamental_form_fd(params: MetricParams, profile: RevolutionProfile, q) -> np.ndarray:

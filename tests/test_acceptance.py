@@ -173,6 +173,8 @@ def test_criterion_08_totally_geodesic_classification():
         (MetricParams(0.0, 1.0), slice_profile(0.0, (0.2, 1.8)), "slice in S2xR"),
         (MetricParams(0.0, -1.0), slice_profile(0.0, (0.1, 0.8)), "slice in H2xR"),
         (MetricParams(0.0, 1.3), cylinder(1.0 / math.sqrt(1.3), (-1.0, 1.0)), "equator cylinder in S2xR"),
+        (MetricParams(2.0, 1.0), slice_profile(0.0, (0.2, 1.8)), "slice in the round sphere, l = 2"),
+        (MetricParams(1.0, 0.25), slice_profile(0.0, (0.2, 1.8)), "slice in the round sphere, l = 1"),
     ]
     worst_good = 0.0
     for params, prof, _ in geodesic_group:
@@ -187,11 +189,13 @@ def test_criterion_08_totally_geodesic_classification():
     for params, prof, _ in curved_group:
         least_bad = min(least_bad, totally_geodesic_defect(params, prof, default_grid(prof, 6, 6)))
 
+    # for l != 0 a z-slice is totally geodesic iff 4m = l^2 (Souam-Toubiana)
     ok = worst_good < 1e-7 and least_bad > 1e-3
     verdict(
         "C8 totally geodesic classification",
         ok,
-        f"product surfaces defect {worst_good:.3e} < 1e-7; twisted-space witnesses {least_bad:.3e} > 1e-3",
+        f"product and round-sphere (4m = l^2) surfaces defect {worst_good:.3e} < 1e-7; "
+        f"witnesses with l != 0 and 4m != l^2 {least_bad:.3e} > 1e-3",
     )
 
 

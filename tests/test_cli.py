@@ -261,6 +261,18 @@ def test_surface_forms_csv(capsys):
     header, rows = parse_csv(out)
     assert header == ["u", "v", "E", "F", "G", "B_uu", "B_uv", "B_vv"]
     assert np.max(np.abs(rows[:, 5:])) < 1e-7  # totally geodesic slice
+    assert "-0.0" not in out.replace("\n", ",").split(",")  # l = 0 and g' = 0 make signed zeros
+
+
+def test_surface_forms_cylinder_rows_share_one_second_form(capsys):
+    # f' = 0: every row of the parallel orients its normal outward
+    code, out, err = run_cli(
+        capsys, "surface", "--l", "0.5", "--m", "0.3", "--profile", "cylinder",
+        "--action", "forms", "--grid", "1",
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",")[5:] for line in out.splitlines()[1:]]
+    assert len(rows) == 8 and all(row == rows[0] for row in rows)
 
 
 def test_surface_parallels_equator_root(capsys):
@@ -478,6 +490,8 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
         ((*GEODESIC, "--u", "1", "--samples", "100000000000"), "samples <= 1000000"),
         (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "geodesic",
           "--samples", "100000000000"), "samples <= 1000000"),
+        (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "geodesic",
+          "--samples", "1"), "surface: need 2 <= samples <= 1000000"),
         (("audit", "--suite", "killing", "--count", "100000000000"), "count must be in [1, 1000000]"),
         (("audit", "--suite", "killing", "--seed", "-1"), "seed must not be negative"),
         (("surface", "--l", "0", "--m", "0", "--profile", "cylinder", "--action", "forms",
@@ -497,7 +511,7 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
           "--sdu=-1e300", "--sdv=0.3", "--t-max=1", "--samples=21"),
          "surface: input out of range: Numerical result out of range"),
     ],
-    ids=["geodesic-samples", "surface-samples", "audit-count", "audit-seed", "surface-u-order",
+    ids=["geodesic-samples", "surface-samples", "surface-samples-one", "audit-count", "audit-seed", "surface-u-order",
          "surface-forms-not-finite", "surface-geodesic-overflow",
          "domain-error-plain-float", "geodesic-power-overflow", "surface-power-overflow"],
 )

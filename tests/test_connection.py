@@ -16,7 +16,6 @@ from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
     BOUNDARY_MARGIN,
     GeodesicState,
-    _gamma_pair,
     _rhs_entries,
     annotate_states,
     christoffel,
@@ -118,9 +117,6 @@ def test_geodesic_rhs_matches_koszul_oracle():
         assert np.max(np.abs(gam - gam_oracle)) <= 1e-12 * scale, (l, m, y6)
         acc = -np.einsum("kij,i,j->k", gam, vel, vel)
         scale = max(float(np.max(np.abs(exact[3:]))), 1.0)
-        assert np.max(np.abs(acc - exact[3:])) <= 1e-12 * scale, (l, m, y6)
-        # the connection map itself: -Gamma(v, v) is the rhs acceleration
-        acc = -np.array(_gamma_pair(l, m, y6[0], y6[1], vel, vel))
         assert np.max(np.abs(acc - exact[3:])) <= 1e-12 * scale, (l, m, y6)
     assert n_hyperbolic > 300
 

@@ -1,5 +1,6 @@
 """Property test of the grid forms: one call over an (N, 2) grid gives the
-one-point calls' forms, and both match the finite-difference oracle."""
+one-point calls' forms, rows at equal u carry the same forms, and they
+match the exact Koszul oracle closely and the finite-difference one."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import second_fundamental_form_fd  # noqa: E402
+from oracles import second_fundamental_form_fd, second_fundamental_form_koszul  # noqa: E402
 from cvgeo.profiles import random_profile  # noqa: E402
 from cvgeo.space import MetricParams  # noqa: E402
 from cvgeo.surfaces import default_grid, second_fundamental_form  # noqa: E402
@@ -43,4 +44,9 @@ def test_grid_forms_match_one_point_calls_and_the_fd_oracle(surface, nu, nv):
         for rows, point in ((forms.first, one.first), (forms.second, one.second), (forms.normal, one.normal)):
             assert np.all(np.abs(rows[i] - point) <= 1e-14 * np.maximum(np.abs(point), 1.0))
         assert forms.second[i, 0, 1] == forms.second[i, 1, 0]
+        first_row = i - i % nv  # the row at the same u and v = 0
+        assert np.array_equal(forms.first[i], forms.first[first_row])
+        assert np.array_equal(forms.second[i], forms.second[first_row])
+        koszul = second_fundamental_form_koszul(params, prof, q)
+        assert np.max(np.abs(forms.second[i] - koszul)) <= 1e-12 * max(np.max(np.abs(koszul)), 1.0)
         assert np.max(np.abs(forms.second[i] - second_fundamental_form_fd(params, prof, q))) < 1e-8

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from battery import nearest_radius_extremum
 from oracles import embed, meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
 import cvgeo.connection
+import cvgeo.space
 import cvgeo.surfaces
 from cvgeo.audits import random_params, run_suite
 from cvgeo.connection import GeodesicState, integrate_geodesic
@@ -139,7 +140,7 @@ def test_second_form_matches_fd_oracle():
             assert np.max(np.abs(second - second_fundamental_form_fd(params, prof, q))) < 1e-8
 
 
-def test_second_form_embeds_and_builds_metric_once(monkeypatch):
+def test_second_form_reads_each_profile_function_once_per_u(monkeypatch):
     params = MetricParams(0.8, 0.3)
     prof = random_profile(params, RNG(11))
     calls = Counter()
@@ -150,20 +151,31 @@ def test_second_form_embeds_and_builds_metric_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    prof = dataclasses.replace(prof, g=counted("g", prof.g))
-    monkeypatch.setattr(cvgeo.surfaces, "metric_tensor", counted("metric_tensor", cvgeo.surfaces.metric_tensor))
-    # the forms contract the connection map directly: no Christoffel table,
-    # through whichever cvgeo module binds it
-    christoffel = cvgeo.connection.christoffel
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cvgeo" and getattr(module, "christoffel", None) is christoffel:
-            monkeypatch.setattr(module, "christoffel", counted("christoffel", christoffel))
+    names = ("f", "fp", "fpp", "g", "gp", "gpp")
+    prof = dataclasses.replace(prof, **{name: counted(name, getattr(prof, name)) for name in names})
+    # the forms are closed in u: no metric, no Christoffel table and no cross
+    # product, through whichever cvgeo module binds them
+    for fn in (cvgeo.space.metric_tensor, cvgeo.connection.christoffel):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cvgeo" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
+    monkeypatch.setattr(np, "cross", counted("cross", np.cross))
     second_fundamental_form(params, prof, (0.3, 1.1))
-    assert calls == {"g": 1, "metric_tensor": 1}
+    assert calls == dict.fromkeys(names, 1)
     calls.clear()
     forms = second_fundamental_form(params, prof, default_grid(prof, 2, 8))
     assert forms.second.shape == (16, 2, 2)
-    assert calls == {"g": 1, "metric_tensor": 1}
+    assert calls == {**dict.fromkeys(names, 2), "g": 1}
+
+
+def test_cylinder_forms_do_not_flip_around_the_parallel():
+    # f' = 0, so omega^3 of the normal vanishes: it points outward at every v
+    prof = cylinder(1.0)
+    grid = default_grid(prof, 2, 8)
+    forms = second_fundamental_form(MetricParams(0.5, 0.3), prof, grid)
+    assert np.all(forms.second == forms.second[0])
+    outward = forms.normal[:, 0] * np.cos(grid[:, 1]) + forms.normal[:, 1] * np.sin(grid[:, 1])
+    assert np.all(outward > 0.0)
 
 
 def test_second_form_keeps_height_unit_compatibility_check():
@@ -591,6 +603,16 @@ def test_surface_geodesic_rejects_radius_outside_disk():
         surface_geodesic_integrate(
             MetricParams(0.5, -1.0), slice_profile(0.0, (0.2, 1.5)),
             SurfaceGeodesicState(1.2, 0.0, 0.3, 0.5), 1.0,
+        )
+
+
+@pytest.mark.parametrize("samples", [1, 0])
+def test_surface_geodesic_rejects_fewer_than_two_samples(samples):
+    # as integrate_geodesic does: one sample would be the t = 0 row alone
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        surface_geodesic_integrate(
+            MetricParams(1.0, 0.3), cylinder(1.0), SurfaceGeodesicState(0.0, 0.0, 0.3, 0.5), 1.0,
+            samples=samples,
         )
 
 
