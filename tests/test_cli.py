@@ -511,8 +511,8 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
           "--sdu=-1e300", "--sdv=0.3", "--t-max=1", "--samples=21"),
          "surface: input out of range: Numerical result out of range"),
     ],
-    ids=["geodesic-samples", "surface-samples", "surface-samples-one", "audit-count", "audit-seed", "surface-u-order",
-         "surface-forms-not-finite", "surface-geodesic-overflow",
+    ids=["geodesic-samples", "surface-samples", "surface-samples-one", "audit-count", "audit-seed",
+         "surface-u-order", "surface-forms-not-finite", "surface-geodesic-overflow",
          "domain-error-plain-float", "geodesic-power-overflow", "surface-power-overflow"],
 )
 def test_out_of_range_input_is_invalid(capsys, argv, message):
