@@ -225,13 +225,20 @@ def integrate_geodesic(
         def guard(y6, _lim=rho2_stop):
             return y6[0] * y6[0] + y6[1] * y6[1] < _lim
 
+        def room(y6, _lim=rho2_stop):
+            return _lim - (y6[0] * y6[0] + y6[1] * y6[1])
+
     else:
 
         def guard(y6):
             return max(abs(y6[0]), abs(y6[1]), abs(y6[2])) < CHART_BOUND
 
+        def room(y6):
+            return CHART_BOUND - max(abs(y6[0]), abs(y6[1]), abs(y6[2]))
+
     ts, ys, fs, exit_reason = _rk.rk45(
-        rhs, s0.as_array(), t_max, tol, guard=guard, guard_error=DomainError, pair=_rk.DOP853
+        rhs, s0.as_array(), t_max, tol,
+        guard=guard, guard_error=DomainError, pair=_rk.DOP853, room=room,
     )
     if samples is None:
         t_out, y_out = ts, ys

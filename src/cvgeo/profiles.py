@@ -20,6 +20,15 @@ holds.  The geodesic criteria of `cvgeo.surfaces` do not need it: they
 read the induced metric (E, F, G) of any immersed profile.  The height of
 a unit-speed profile is recovered by Gauss-Legendre quadrature of g' when
 it is actually needed (the ambient metric never depends on z).
+
+Every profile callable takes a float or an ndarray of u.  A float runs on
+`math`, so the surface-geodesic rhs, which calls the profile once per
+evaluation, keeps the bits and the cost of scalar arithmetic; an ndarray
+runs on numpy in one call, which is how the surface grids, the criteria
+and the dense-output annotations evaluate a profile.  An array call
+returns an array of u's shape, or a scalar where the function is constant
+(`cvgeo.surfaces` broadcasts it).  The checks of a unit-speed profile name
+the first offending u in array order, as a loop over the entries would.
 """
 
 from __future__ import annotations
@@ -49,12 +58,12 @@ __all__ = [
 class RevolutionProfile:
     """Generating curve u -> (f(u), g(u)) of a surface of revolution."""
 
-    f: Callable[[float], float]
-    fp: Callable[[float], float]
-    fpp: Callable[[float], float]
-    g: Callable[[float], float]
-    gp: Callable[[float], float]
-    gpp: Callable[[float], float]
+    f: Callable
+    fp: Callable
+    fpp: Callable
+    g: Callable
+    gp: Callable
+    gpp: Callable
     u_domain: tuple[float, float]
     name: str = "profile"
     args: dict = field(default_factory=dict)
@@ -68,33 +77,58 @@ class RevolutionProfile:
         return np.linspace(lo, hi, n)
 
 
+# A profile callable runs on numpy where `type(u) is _ND` and on math
+# otherwise, so a float keeps the bits and nearly the cost of scalar
+# arithmetic (an inline type test costs less than a call to a helper).
+_ND = np.ndarray
+
+
+def _on_array(fn: Callable, u: np.ndarray) -> np.ndarray:
+    """fn(u) as an array of u's shape: a constant callable may return a
+    scalar for an array u."""
+    val = fn(u)
+    return val if type(val) is _ND and val.shape == u.shape else np.broadcast_to(val, u.shape)
+
+
 def validate_profile(params: MetricParams, profile: RevolutionProfile) -> None:
     """Check u_min < u_max, and f > 0 and, for m < 0, f^2 < -1/m on a
-    64-point grid of the domain."""
+    64-point grid of the domain, with one array call of f; the error names
+    the first grid point that fails."""
     lo, hi = profile.u_domain
     if not lo < hi:
         raise ValueError(f"profile domain needs u_min < u_max; got [{lo!r}, {hi!r}]")
-    for u in profile.grid(64):
-        u = float(u)
-        fv = float(profile.f(u))
-        if not fv > 0.0:
-            raise ValueError(f"profile radius must be positive; f({u!r}) = {fv!r}")
-        if params.m < 0.0 and fv * fv >= -1.0 / params.m:
-            raise ValueError(
-                f"profile leaves the m < 0 disk: f({u!r})^2 = {fv * fv!r} >= {-1.0 / params.m!r}"
-            )
+    us = profile.grid(64)
+    fv = _on_array(profile.f, us)
+    nonpositive = ~(fv > 0.0)
+    with np.errstate(over="ignore"):  # an f^2 that overflows is outside the disk
+        f2 = fv * fv
+    bad = nonpositive | (f2 >= -1.0 / params.m) if params.m < 0.0 else nonpositive
+    if bad.any():
+        i = int(bad.argmax())
+        u = float(us[i])
+        if nonpositive[i]:
+            raise ValueError(f"profile radius must be positive; f({u!r}) = {float(fv[i])!r}")
+        raise ValueError(
+            f"profile leaves the m < 0 disk: f({u!r})^2 = {float(f2[i])!r} >= {-1.0 / params.m!r}"
+        )
+
+
+def _const(c: float) -> Callable:
+    """The constant c as a profile callable: c for a float u, an array of c
+    shaped like an array u."""
+    return lambda u: np.full(u.shape, c) if type(u) is _ND else c
 
 
 def cylinder(a: float, u_domain=(-2.0, 2.0)) -> RevolutionProfile:
     if a <= 0.0:
         raise ValueError("cylinder radius must be positive")
     return RevolutionProfile(
-        f=lambda u: a,
-        fp=lambda u: 0.0,
-        fpp=lambda u: 0.0,
+        f=_const(a),
+        fp=_const(0.0),
+        fpp=_const(0.0),
         g=lambda u: u,
-        gp=lambda u: 1.0,
-        gpp=lambda u: 0.0,
+        gp=_const(1.0),
+        gpp=_const(0.0),
         u_domain=tuple(u_domain),
         name="cylinder",
         args={"a": a},
@@ -104,11 +138,11 @@ def cylinder(a: float, u_domain=(-2.0, 2.0)) -> RevolutionProfile:
 def cone(k: float, u_domain=(0.2, 2.0)) -> RevolutionProfile:
     return RevolutionProfile(
         f=lambda u: u,
-        fp=lambda u: 1.0,
-        fpp=lambda u: 0.0,
+        fp=_const(1.0),
+        fpp=_const(0.0),
         g=lambda u: k * u,
-        gp=lambda u: k,
-        gpp=lambda u: 0.0,
+        gp=_const(k),
+        gpp=_const(0.0),
         u_domain=tuple(u_domain),
         name="cone",
         args={"k": k},
@@ -119,11 +153,11 @@ def slice_profile(z0: float = 0.0, u_domain=(0.2, 2.0)) -> RevolutionProfile:
     """The z = z0 slice, radially parametrised by the coordinate radius."""
     return RevolutionProfile(
         f=lambda u: u,
-        fp=lambda u: 1.0,
-        fpp=lambda u: 0.0,
-        g=lambda u: z0,
-        gp=lambda u: 0.0,
-        gpp=lambda u: 0.0,
+        fp=_const(1.0),
+        fpp=_const(0.0),
+        g=_const(z0),
+        gp=_const(0.0),
+        gpp=_const(0.0),
         u_domain=tuple(u_domain),
         name="slice",
         args={"z0": z0},
@@ -138,13 +172,24 @@ def tan_profile(m: float, c: float = 0.0, u_domain=(0.1, 1.0)) -> RevolutionProf
     lo, hi = u_domain
     if not (-0.5 * math.pi < sm * lo + c and sm * hi + c < 0.5 * math.pi):
         raise ValueError("tan profile domain must stay inside one tangent branch")
+
+    def f(u):
+        return (np if type(u) is _ND else math).tan(sm * u + c) / sm
+
+    def fp(u):
+        return 1.0 / (np if type(u) is _ND else math).cos(sm * u + c) ** 2
+
+    def fpp(u):
+        xp = np if type(u) is _ND else math
+        return 2.0 * sm * xp.tan(sm * u + c) / xp.cos(sm * u + c) ** 2
+
     return RevolutionProfile(
-        f=lambda u: math.tan(sm * u + c) / sm,
-        fp=lambda u: 1.0 / math.cos(sm * u + c) ** 2,
-        fpp=lambda u: 2.0 * sm * math.tan(sm * u + c) / math.cos(sm * u + c) ** 2,
-        g=lambda u: 0.0,
-        gp=lambda u: 0.0,
-        gpp=lambda u: 0.0,
+        f=f,
+        fp=fp,
+        fpp=fpp,
+        g=_const(0.0),
+        gp=_const(0.0),
+        gpp=_const(0.0),
         u_domain=tuple(u_domain),
         name="tan",
         args={"m": m, "c": c},
@@ -159,50 +204,76 @@ def tanh_profile(m: float, c: float = 0.5, u_domain=(0.1, 1.5)) -> RevolutionPro
     lo, _ = u_domain
     if sm * lo + c <= 0.0:
         raise ValueError("tanh profile needs sqrt(-m) u + c > 0 on the domain")
+
+    def f(u):
+        return (np if type(u) is _ND else math).tanh(sm * u + c) / sm
+
+    def fp(u):
+        return 1.0 / (np if type(u) is _ND else math).cosh(sm * u + c) ** 2
+
+    def fpp(u):
+        xp = np if type(u) is _ND else math
+        return -2.0 * sm * xp.tanh(sm * u + c) / xp.cosh(sm * u + c) ** 2
+
     return RevolutionProfile(
-        f=lambda u: math.tanh(sm * u + c) / sm,
-        fp=lambda u: 1.0 / math.cosh(sm * u + c) ** 2,
-        fpp=lambda u: -2.0 * sm * math.tanh(sm * u + c) / math.cosh(sm * u + c) ** 2,
-        g=lambda u: 0.0,
-        gp=lambda u: 0.0,
-        gpp=lambda u: 0.0,
+        f=f,
+        fp=fp,
+        fpp=fpp,
+        g=_const(0.0),
+        gp=_const(0.0),
+        gpp=_const(0.0),
         u_domain=tuple(u_domain),
         name="tanh",
         args={"m": m, "c": c},
     )
 
 
-# Held as Python floats, so the profile callables run on float, not np.float64.
-_GL_RULE = list(zip(*(c.tolist() for c in np.polynomial.legendre.leggauss(24))))
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def _quad(fn, a: float, b: float) -> float:
-    """Composite Gauss-Legendre quadrature, panels of width <= 1.5."""
+    """Composite Gauss-Legendre quadrature, panels of width <= 1.5, with one
+    array call of fn at the nodes of every panel (panel by panel, each in
+    ascending order)."""
     if a == b:
         return 0.0
     n_panels = max(1, int(math.ceil(abs(b - a) / 1.5)))
-    edges = np.linspace(a, b, n_panels + 1).tolist()
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        panel = 0.0
-        for x, w in _GL_RULE:
-            panel += w * fn(mid + half * x)
-        total += half * panel
-    return total
+    edges = np.linspace(a, b, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * _GL_NODES
+    panels = np.sum(_on_array(fn, nodes) * _GL_WEIGHTS, axis=1)
+    return float(np.sum(half * panels))
 
 
-def _unit_radicand(d2: float, fp2: float, u: float) -> float:
+_NEGATIVE_RADICAND = "negative radicand at u = {!r}: profile is not unit-compatible"
+_SINGULAR_GPP = "g'' is singular at u = {!r}: f'^2 = (1 + m f^2)^2 there"
+
+
+def _unit_radicand(d2, fp2, u, nonzero: bool = False):
     """Arc-length radicand d2 - fp2 at u, from d2 = (1 + m f^2)^2 and
-    fp2 = f'^2.  Raises ValueError where it is negative beyond rounding;
-    within rounding of zero (tan/tanh slices) it is 0.0, as its square root
-    would amplify the cancellation noise to ~1e-8."""
+    fp2 = f'^2, floats or arrays.  Raises ValueError where it is negative
+    beyond rounding; within rounding of zero (tan/tanh slices) it is 0.0, as
+    its square root would amplify the cancellation noise to ~1e-8, and with
+    `nonzero` a radicand of 0.0 raises as well (g'' is singular there).  An
+    array u raises at its first such entry, in array order."""
     rad = d2 - fp2
     scale = d2 + fp2
+    if type(u) is _ND:
+        negative = np.less(rad, -1e-12 * scale)
+        rad = np.where(rad < 1e-13 * scale, 0.0, rad)
+        bad = negative | (rad == 0.0) if nonzero else negative
+        if bad.any():
+            i = np.broadcast_to(bad, u.shape).argmax()
+            message = _NEGATIVE_RADICAND if np.broadcast_to(negative, u.shape).flat[i] else _SINGULAR_GPP
+            raise ValueError(message.format(float(u.flat[i])))
+        return rad
     if rad < -1e-12 * scale:
-        raise ValueError(f"negative radicand at u = {u!r}: profile is not unit-compatible")
-    return 0.0 if rad < 1e-13 * scale else rad
+        raise ValueError(_NEGATIVE_RADICAND.format(u))
+    if rad < 1e-13 * scale:
+        rad = 0.0
+    if nonzero and rad == 0.0:
+        raise ValueError(_SINGULAR_GPP.format(u))
+    return rad
 
 
 def unit_speed_profile(
@@ -213,26 +284,26 @@ def unit_speed_profile(
     g' = sqrt(R) / d >= 0 with d = 1 + m f^2 and R = d^2 - f'^2, g(u_lo) = 0,
     and g'' = (d d' - f' f'') / (sqrt(R) d) - sqrt(R) d' / d^2 with
     d' = 2 m f f'; the radicand R must stay nonnegative on the domain, and
-    g'' raises ValueError where R vanishes, as it is singular there.
+    g'' raises ValueError where R vanishes, as it is singular there.  f, f'
+    and f'' must take a float or an ndarray, as every profile callable does.
     """
 
-    def gp(u: float) -> float:
+    def gp(u):
         d = 1.0 + m * f(u) ** 2
-        return math.sqrt(_unit_radicand(d * d, fp(u) ** 2, u)) / d
+        return (np if type(u) is _ND else math).sqrt(_unit_radicand(d * d, fp(u) ** 2, u)) / d
 
-    def gpp(u: float) -> float:
+    def gpp(u):
         fv, fpv = f(u), fp(u)
         d = 1.0 + m * fv * fv
-        rad = _unit_radicand(d * d, fpv * fpv, u)
-        if rad == 0.0:
-            raise ValueError(f"g'' is singular at u = {u!r}: f'^2 = (1 + m f^2)^2 there")
-        sr = math.sqrt(rad)
+        sr = (np if type(u) is _ND else math).sqrt(_unit_radicand(d * d, fpv * fpv, u, True))
         dp = 2.0 * m * fv * fpv
         return (d * dp - fpv * fpp(u)) / (sr * d) - sr * dp / (d * d)
 
     lo = u_domain[0]
 
-    def g(u: float) -> float:
+    def g(u):
+        if type(u) is _ND:
+            return np.array([_quad(gp, lo, x) for x in u.ravel().tolist()]).reshape(u.shape)
         return _quad(gp, lo, u)
 
     return RevolutionProfile(
@@ -272,14 +343,14 @@ def random_profile(
     om = rng.uniform(0.4, 0.8)
     phi = rng.uniform(0.0, 2.0 * math.pi)
 
-    def f(u: float) -> float:
-        return a + b * math.sin(om * u + phi)
+    def f(u):
+        return a + b * (np if type(u) is _ND else math).sin(om * u + phi)
 
-    def fp(u: float) -> float:
-        return b * om * math.cos(om * u + phi)
+    def fp(u):
+        return b * om * (np if type(u) is _ND else math).cos(om * u + phi)
 
-    def fpp(u: float) -> float:
-        return -b * om * om * math.sin(om * u + phi)
+    def fpp(u):
+        return -b * om * om * (np if type(u) is _ND else math).sin(om * u + phi)
 
     return unit_speed_profile(
         f, fp, fpp, m, u_domain, name="random", args={"a": a, "b": b, "om": om, "phi": phi}

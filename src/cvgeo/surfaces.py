@@ -17,10 +17,12 @@ u = u0 is a geodesic exactly where G'(u0) = 0, and the meridians are
 geodesics exactly where F / sqrt(E) is constant, for any immersed profile,
 at unit speed or not.  `first_fundamental_form`, the pullback J^T g J of
 the ambient metric, is the independent route that the audits check (E, F,
-G) against.  Both forms take one point (u, v) or an (N, 2) grid, with the
-profile callables once per distinct u and the height g once per call, at
+G) against.  Both forms take one point (u, v) or an (N, 2) grid, with one
+array call of each profile callable and the height g once per call, at
 the largest u (the metric does not depend on z; for unit-speed profiles
-that quadrature of g' is the unit-compatibility check).
+that quadrature of g' is the unit-compatibility check).  The criteria and
+the dense-output annotations evaluate the profile in one array call per
+function as well; only the surface-geodesic rhs calls it on floats.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rk
-from .profiles import RevolutionProfile
+from .profiles import RevolutionProfile, _on_array
 from .space import DomainError, MetricParams, metric_tensor, require_in_domain
 
 __all__ = [
@@ -78,18 +80,16 @@ class SurfaceGeodesicState:
 
 
 def _profile_values(u: np.ndarray, *fns) -> list[np.ndarray]:
-    """Each scalar profile callable at every entry of u, called once per
-    distinct value (a grid repeats each u once per v)."""
-    distinct, index = np.unique(u, return_inverse=True)
-    xs = distinct.tolist()
-    return [np.array([fn(x) for x in xs])[index] for fn in fns]
+    """Each profile callable at the array u, one call each, as arrays of u's
+    shape."""
+    return [_on_array(fn, u) for fn in fns]
 
 
 def _profile_rows(params: MetricParams, profile: RevolutionProfile, q, *derivs):
     """q, a point (u, v) or an (N, 2) grid, read as rows: whether q was one
     point, the v column, and f, f', g' and each of derivs at every row.
 
-    The profile callables run once per distinct u.  The height g runs once, at
+    Each profile callable runs once, on all rows.  The height g runs once, at
     the largest u: no form needs it, and for a unit-speed profile its
     quadrature of g' over [u_lo, max u] is the unit-compatibility check.  The
     m < 0 disk bounds the radius f only, and the first row outside it, in
@@ -159,8 +159,8 @@ def _form_coefficients(params: MetricParams, fv, fpv, gpv):
     return e, fcoef, gcoef
 
 
-def _g_prime(params: MetricParams, fv: float, fpv: float) -> float:
-    """dG/du = f f' (2 + (l^2 - 2 m) f^2) / (1 + m f^2)^3."""
+def _g_prime(params: MetricParams, fv, fpv):
+    """dG/du = f f' (2 + (l^2 - 2 m) f^2) / (1 + m f^2)^3, floats or arrays."""
     l, m = params.l, params.m
     f2 = fv * fv
     return fv * fpv * (2.0 + (l * l - 2.0 * m) * f2) / (1.0 + m * f2) ** 3
@@ -348,8 +348,9 @@ def surface_geodesic_integrate(
 
     Conserves the induced speed and the rotational momentum
     p_v = 2 G v' + 2 F u' to integrator accuracy.  Leaving the profile
-    domain ends the run with the partial trajectory ("domain-exit").  With
-    `samples` (at least 2) given, the rows sit on a uniform time grid.
+    domain ends the run with the partial trajectory ("domain-exit"); the
+    stepper closes in on the domain's end by the secant of the room to it.
+    With `samples` (at least 2) given, the rows sit on a uniform time grid.
     """
     lo, hi = profile.u_domain
     if not profile.contains(s0.u):
@@ -361,12 +362,17 @@ def surface_geodesic_integrate(
         return _surface_rhs(params, profile, y4)
 
     margin = 2e-6 * (hi - lo)
+    u_lo, u_hi = lo + margin, hi - margin
 
     def guard(y4):
-        return lo + margin <= y4[0] <= hi - margin
+        return u_lo <= y4[0] <= u_hi
+
+    def room(y4):
+        return min(y4[0] - u_lo, u_hi - y4[0])
 
     ts, ys, fs, exit_reason = _rk.rk45(
-        rhs, s0.as_array(), t_max, tol, guard=guard, guard_error=DomainError, pair=_rk.FEHLBERG45
+        rhs, s0.as_array(), t_max, tol,
+        guard=guard, guard_error=DomainError, pair=_rk.FEHLBERG45, room=room,
     )
     if samples is not None:
         t_out = np.linspace(0.0, ts[-1], samples)
@@ -408,15 +414,16 @@ def parallel_geodesic_radii(
     params: MetricParams, profile: RevolutionProfile, n: int
 ) -> list[float]:
     """Parameters u0 of the geodesic parallels: the points of an n-point grid
-    that pass `parallel_is_geodesic`, and a root bisected 80 times in each
-    sign change of its residual between grid neighbours."""
+    that pass `parallel_is_geodesic`'s gate, with the residuals of the grid
+    in one array call, and a root bisected 80 times (one point at a time)
+    in each sign change of the residual between grid neighbours."""
     lo, hi = profile.u_domain
+    us = np.linspace(lo, hi, n)
+    residuals = _g_prime(params, *_profile_values(us, profile.f, profile.fp))
     roots = []
     prev_u = prev_r = None
-    for u in np.linspace(lo, hi, n):
-        u = float(u)
-        ok, r = parallel_is_geodesic(params, profile, u)
-        if ok:
+    for u, r in zip(us.tolist(), residuals.tolist()):
+        if abs(r) < PARALLEL_TOL:
             roots.append(u)
         elif prev_r is not None and prev_r * r < 0.0:
             a, b, ra = prev_u, u, prev_r

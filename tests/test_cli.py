@@ -444,8 +444,8 @@ GOLDEN = {
                       "4e96c525ff4de6c25e980b7fa64d7904d228661f3eddc949ce6528d0feb85e2a",
                       "5.329070518200751e-15"),
     "ProductSphere": (("0", "0.7", "0.6", "0.3", "0.8"), 1,
-                      "06e0cc995d5dc331a70c853cc55644f68bf56eacad796421379136ab3724f1aa",
-                      "24.396291566896252"),
+                      "3298bf770f038eea8e63fa0dcdbd22220039e6228fe8d62f86a7554085f6e948",
+                      "24.396446708939038"),
     "ProductHyperbolic": (("0", "-0.6", "0.5", "-0.4", "0.7"), 0,
                           "7640c56d3a30205b62dd56c121fbbef1435b7e1d67b241f5bb729cfeeb3d9d50",
                           "5.566922589572698e-09"),

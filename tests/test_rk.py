@@ -53,6 +53,29 @@ def test_domain_exit_from_guard():
         assert ts[-1] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_room_locates_the_guard_exit_by_a_secant():
+    # y' = 1 leaves y < 0.5 at t = 0.5: the secant of the room 0.5 - y is
+    # exact here, so the retries close in on the exit in far fewer
+    # evaluations than halving, and end at the same time
+    for pair in PAIRS:
+        evals = []
+        for room in (None, lambda y: 0.5 - y[0]):
+            calls = 0
+
+            def rhs(y):
+                nonlocal calls
+                calls += 1
+                return [1.0]
+
+            ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=lambda y: y[0] < 0.5, guard_error=(),
+                                     pair=pair, room=room)
+            assert reason == "domain-exit"
+            assert np.all(ys[:, 0] < 0.5)
+            assert ts[-1] == pytest.approx(0.5, abs=1e-12)
+            evals.append(calls)
+        assert evals[1] < evals[0] / 2, evals
+
+
 def test_domain_exit_from_guard_error_in_a_stage():
     def rhs(y):
         if y[0] >= 0.5:
@@ -286,3 +309,44 @@ def test_float_stages_match_the_matrix_oracle(monkeypatch, bench_workloads):
             assert len(ys) == len(ys0)
             assert np.max(np.abs(ys[-1] - ys0[-1])) <= 1e-12 * np.max(np.abs(ys0[-1]))
     assert complete > len(geodesics)  # some surface runs complete too
+
+
+def test_a_surface_domain_exit_spends_few_evaluations_after_its_first_rejection(monkeypatch):
+    # the first seed-1 surface_audit input leaves its profile domain.  The
+    # run that halved h against the guard ended at t = 1.864452871179161
+    # after 333 rhs evaluations, 287 of them after its first guard
+    # rejection (a guard failure or a stage outside the domain); the secant
+    # retry spends 122 of 168, and ends at the same time to rounding
+    params = MetricParams(-1.9437254448921353, -1.4535671977130735)
+    prof = random_profile(params, np.random.default_rng(1541141206))
+    s0 = SurfaceGeodesicState(0.6592211532931436, 0.0, 0.6736427867467205, 1.0026541044779285)
+    count = {"evals": 0, "after": None}
+
+    def rejected():
+        if count["after"] is None:
+            count["after"] = 0
+
+    def counting_rk45(rhs, y0, t_max, tol, *, guard, guard_error, **kwargs):
+        def counted_rhs(y):
+            count["evals"] += 1
+            if count["after"] is not None:
+                count["after"] += 1
+            try:
+                return rhs(y)
+            except guard_error:
+                rejected()
+                raise
+
+        def counted_guard(y):
+            ok = guard(y)
+            if not ok:
+                rejected()
+            return ok
+
+        return rk45(counted_rhs, y0, t_max, tol, guard=counted_guard, guard_error=guard_error, **kwargs)
+
+    monkeypatch.setattr(_rk, "rk45", counting_rk45)
+    traj = surface_geodesic_integrate(params, prof, s0, 5.0, samples=201)
+    assert traj.exit_reason == "domain-exit"
+    assert abs(traj.ts[-1] - 1.864452871179161) <= 1e-12
+    assert count["after"] is not None and count["after"] <= 150, count

@@ -74,6 +74,46 @@ def test_one_traced_operation_keeps_the_tracer_contract(tracer, workloads, workl
             assert metrics[name] > 0.0, name
 
 
+def test_traced_surface_guard_rejections_match_an_independent_count(tracer, workloads, monkeypatch):
+    # the first seed-1 surface_audit operation's geodesic leaves its profile
+    # domain.  A counter between the tracer and the stepper sees every state
+    # the guard is asked about and every stage the rhs refuses; it counts a
+    # state as rejected where its room is negative, whatever the guard
+    # returns, so a guard that returned the room itself (a truthy negative)
+    # would leave the tracer's count short and fail here
+    from cvgeo import _rk
+
+    inp = next(itertools.chain.from_iterable(workloads.surface_cycles(1)))
+    stepper = _rk.rk45
+    rejections = 0
+
+    def counting_rk45(rhs, y0, t_max, tol, *, guard, guard_error, room, **kwargs):
+        def counted_rhs(y):
+            nonlocal rejections
+            try:
+                return rhs(y)
+            except guard_error:
+                rejections += 1
+                raise
+
+        def counted_guard(y):
+            nonlocal rejections
+            rejections += room(y) < 0.0
+            return guard(y)
+
+        return stepper(counted_rhs, y0, t_max, tol, guard=counted_guard, guard_error=guard_error, room=room,
+                       **kwargs)
+
+    monkeypatch.setattr(_rk, "rk45", counting_rk45)  # the tracer wraps the counter
+    trace = tracer.Tracer()
+    with trace.installed():
+        res = workloads.run_surface(inp)
+    assert res.failures == [] and res.malformed == []
+    assert trace.counts["rk.surface.steps"] > 0 and trace.counts["rk.geodesic.steps"] == 0
+    assert rejections > 0
+    assert trace.counts["rk.surface.guard_rejects"] == rejections
+
+
 def test_the_cli_runs_without_scipy():
     # scipy is installed for the tests, but the package depends on numpy
     # alone: a geodesic run in a fresh interpreter must not load it
