@@ -5,19 +5,20 @@ defined: the classic six-stage Fehlberg 4(5) pair (`FEHLBERG45`) and the
 twelve-stage Dormand-Prince 8(5,3) pair of Hairer (`DOP853`; Hairer,
 Norsett and Wanner, Solving ODEs I, sections II.5 and II.10), with its
 combined fifth- and third-order error estimate.  The higher-order solution
-is propagated (local extrapolation).  The state and the stages are lists of
-Python floats, and each stage state, the new state and the error estimate
-are built component by component from the weighted stages, summed left to
-right in IEEE double arithmetic (Fehlberg scales its tableau by h once per
-attempt, DOP853 multiplies each weighted sum by h), so the knots do not
-depend on a BLAS build.  Dense output between accepted steps is the
-Hermite interpolant on (y, f) at the four knots around each interval.
+is propagated (local extrapolation).  Both pairs make an attempt in one
+form: the coefficients are unpacked once when the pair is bound, the state
+and the stages are lists of Python floats, each stage state and the new
+state is yj + h * (sum of the weighted stages), summed left to right in
+IEEE double arithmetic, and the error norm is summed in the same loop as
+the new state, so the knots do not depend on a BLAS build.  Dense output
+between accepted steps is the Hermite interpolant on (y, f) at the four
+knots around each interval.
 
 The stepper is generic over the state dimension; the geodesic integrators
-in `connection` (DOP853) and `surfaces` (Fehlberg) both run on it, and
-both give it the signed room to their domain's edge, so that a step that
-lands outside is retried at the secant of the room rather than at half
-its length.
+in `connection` (DOP853) and `surfaces` (Fehlberg) both run on it.  Each
+gives it the signed room to its domain's edge, which is required, and a
+guard derived from that room, so that a step that lands outside is retried
+at the secant of the room rather than at half its length.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ _F45_E = (
     -9.0 / 50.0 + 1.0 / 5.0,
     2.0 / 55.0,
 )
-# _F45_A row by row, then _F45_B and _F45_E: the coefficients scaled by h per attempt
-_F45_TABLEAU = (*(c for row in _F45_A for c in row), *_F45_B, *_F45_E)
 
 # Hairer's DOP853 coefficients as doubles, as scipy's dop853_coefficients
 # states them: row i of _DOP853_A holds the weights of stages 0..i-1 in
@@ -139,38 +138,34 @@ class Pair(NamedTuple):
     bind: Callable
 
 
-def _rms_norm(y, y_new, err, tol: float) -> float:
-    """RMS of err / (tol + tol max(|y|, |y_new|)) over lists of floats,
-    summed in order: the value of numpy's add.reduce over the same terms.
-
-    Python's max skips a nan in y_new where numpy's maximum keeps it; err is
-    nan there as well, since each pair's error weights are nonzero wherever
-    its solution weights are, so the norm is nan either way.
-    """
-    s = 0.0
-    for a, b, e in zip(y, y_new, err):
-        q = e / (tol + tol * max(abs(a), abs(b)))
-        s += q * q
-    return math.sqrt(s / len(y))
-
-
 def _bind_fehlberg(rhs, tol):
+    # the zero weights of stage 1 in the solution and error weights are left out
+    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54)) = _F45_A
+    b0, _, b2, b3, b4, b5 = _F45_B
+    e0, _, e2, e3, e4, e5 = _F45_E
+
     def attempt(y, k0, h):
-        (a10, a20, a21, a30, a31, a32, a40, a41, a42, a43, a50, a51, a52, a53, a54,
-         b0, _, b2, b3, b4, b5, e0, _, e2, e3, e4, e5) = [h * c for c in _F45_TABLEAU]
-        # the zero weights of stage 1 in _F45_B and _F45_E are left out
-        k1 = rhs([yj + a10 * p0 for yj, p0 in zip(y, k0)])
-        k2 = rhs([yj + (a20 * p0 + a21 * p1) for yj, p0, p1 in zip(y, k0, k1)])
-        k3 = rhs([yj + (a30 * p0 + a31 * p1 + a32 * p2) for yj, p0, p1, p2 in zip(y, k0, k1, k2)])
-        k4 = rhs([yj + (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+        k1 = rhs([yj + h * (a10 * p0) for yj, p0 in zip(y, k0)])
+        k2 = rhs([yj + h * (a20 * p0 + a21 * p1) for yj, p0, p1 in zip(y, k0, k1)])
+        k3 = rhs([yj + h * (a30 * p0 + a31 * p1 + a32 * p2) for yj, p0, p1, p2 in zip(y, k0, k1, k2)])
+        k4 = rhs([yj + h * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
                   for yj, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
-        k5 = rhs([yj + (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+        k5 = rhs([yj + h * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
                   for yj, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
-        y_new = [yj + (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
-                 for yj, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
-        err = [e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5
-               for p0, p2, p3, p4, p5 in zip(k0, k2, k3, k4, k5)]
-        return y_new, _rms_norm(y, y_new, err, tol)
+        # the RMS of h err / (tol + tol max(|y|, |y_new|)), summed in order:
+        # numpy's add.reduce over the same terms.  Python's max skips a nan
+        # in y_new where numpy's maximum keeps it; the error is nan there as
+        # well, since the error weights are nonzero wherever the solution
+        # weights are, so the norm is nan either way
+        y_new = []
+        s = 0.0
+        for yj, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5):
+            yn = yj + h * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
+            y_new.append(yn)
+            sc = tol + tol * max(abs(yj), abs(yn))
+            q = h * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5) / sc
+            s += q * q
+        return y_new, math.sqrt(s / len(y))
 
     return attempt
 
@@ -232,26 +227,27 @@ FEHLBERG45 = Pair(4, 6, _bind_fehlberg)
 DOP853 = Pair(7, 12, _bind_dop853)
 
 
-def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, room=None):
+def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, room):
     """Integrate y' = rhs(y) from t=0 to t_max with local error <= tol.
 
     The state is a list of floats: rhs(y) takes one and returns a sequence
     of floats (a tuple, for the integrators of this package); the knots
-    keep both uncopied until the run ends.  guard(y) -> bool marks states
-    that are still acceptable; a step landing on a rejected state is
-    retried with a smaller h, and if h underflows near the obstruction the
-    partial solution is returned with exit reason "domain-exit".
-    `guard_error` is the exception type the rhs may raise for out-of-domain
-    stage evaluations; it is handled the same way.  `pair` is the embedded
-    pair that makes each attempt (`FEHLBERG45` or `DOP853`).
+    keep both uncopied until the run ends.  `room(y) -> float` is the
+    signed distance to the edge of the domain, and guard(y) -> bool marks
+    the states that are still acceptable, with guard(y) false wherever
+    room(y) < 0 (each integrator of this package derives its guard from
+    its room).  A step landing on a rejected state is retried with a
+    smaller h, and if h underflows near the obstruction the partial
+    solution is returned with exit reason "domain-exit".  `guard_error` is
+    the exception type the rhs may raise for out-of-domain stage
+    evaluations; it is handled the same way.  `pair` is the embedded pair
+    that makes each attempt (`FEHLBERG45` or `DOP853`).
 
-    `room(y) -> float`, when given, is a signed distance to the guard's
-    boundary, positive where guard(y) holds.  A step that passes the error
-    test but lands where room(y_new) < 0 is then retried at the secant step
-    _SECANT_AIM h room(y) / (room(y) - room(y_new)), just short of where
-    the room vanishes, capped at the h / 2 that is used without it
-    (Shampine and Thompson, Event location for ordinary differential
-    equations, 2000).  The exit conditions are the same either way.
+    A step that passes the error test but lands where room(y_new) < 0 is
+    retried at the secant step _SECANT_AIM h room(y) / (room(y) -
+    room(y_new)), just short of where the room vanishes, capped at h / 2;
+    any other rejection of a landing halves h (Shampine and Thompson,
+    Event location for ordinary differential equations, 2000).
 
     Returns (ts, ys, fs, exit_reason) with the accepted knots as arrays and
     the rhs values there; exit_reason is "complete" or "domain-exit".
@@ -315,7 +311,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
                 guard_budget -= 1
                 if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
                     return result("domain-exit")
-                r_new = room(y_new) if room is not None else 0.0
+                r_new = room(y_new)
                 if r_new < 0.0:
                     r = room(y)
                     h *= min(0.5, _SECANT_AIM * r / (r - r_new))

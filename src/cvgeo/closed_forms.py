@@ -104,7 +104,6 @@ class ClosedFormGeodesic:
 
     params: MetricParams
     v0: tuple[float, float, float]
-    case: GeodesicCase
 
     def _pair(self, t):
         """t as an array, L, mu, A^2 and the pair (s, c)."""
@@ -155,5 +154,6 @@ class ClosedFormGeodesic:
 
 def closed_form_geodesic(params: MetricParams, v0) -> ClosedFormGeodesic:
     u, v, w = (float(c) for c in v0)
-    case = dispatch_case(params, (u, v, w))
-    return ClosedFormGeodesic(params=params, v0=(u, v, w), case=case)
+    if u == 0.0 and v == 0.0 and w == 0.0:
+        raise ValueError("initial velocity must be nonzero")
+    return ClosedFormGeodesic(params=params, v0=(u, v, w))

@@ -219,22 +219,22 @@ def integrate_geodesic(
     def rhs(y6):
         return _rhs_entries(l, m, y6)
 
+    # the signed room to the domain's edge: the m < 0 stop shell, or the
+    # chart bound.  The guard is room > 0, the same test on every float, inf
+    # and nan as rho^2 < the shell's rho^2 and max |coordinate| < CHART_BOUND
     if m < 0.0:
         rho2_stop = -1.0 / m - BOUNDARY_MARGIN
-
-        def guard(y6, _lim=rho2_stop):
-            return y6[0] * y6[0] + y6[1] * y6[1] < _lim
 
         def room(y6, _lim=rho2_stop):
             return _lim - (y6[0] * y6[0] + y6[1] * y6[1])
 
     else:
 
-        def guard(y6):
-            return max(abs(y6[0]), abs(y6[1]), abs(y6[2])) < CHART_BOUND
-
         def room(y6):
             return CHART_BOUND - max(abs(y6[0]), abs(y6[1]), abs(y6[2]))
+
+    def guard(y6):
+        return room(y6) > 0.0
 
     ts, ys, fs, exit_reason = _rk.rk45(
         rhs, s0.as_array(), t_max, tol,

@@ -2,13 +2,19 @@
 
 A profile provides smooth callables for the radius f > 0 and the height g
 together with the derivatives f', f'', g' and g''.
-Built-ins:
+The built-ins are two families.  The affine profiles f = f0 + f1 u,
+g = g0 + g1 u:
 
     cylinder(a)          f = a,        g = u
     cone(k)              f = u,        g = k u
     slice_profile(z0)    f = u,        g = z0           (a z = const slice)
-    tan_profile(m, c)    f = tan(sqrt(m) u + c)/sqrt(m),   g = const, m > 0
-    tanh_profile(m, c)   f = tanh(sqrt(-m) u + c)/sqrt(-m), g = const, m < 0
+
+and the z = 0 slices at unit radial speed, f = T(s u + c) / s with
+f' = 1 / C(s u + c)^2 and f'' = 2 s T / C^2 (tan) or -2 s T / C^2 (tanh),
+written once for the pairs (T, C) = (tan, cos) and (tanh, cosh):
+
+    tan_profile(m, c)    f = tan(sqrt(m) u + c)/sqrt(m),   g = 0, m > 0
+    tanh_profile(m, c)   f = tanh(sqrt(-m) u + c)/sqrt(-m), g = 0, m < 0
 
 The tan/tanh profiles are the z = const slices reparametrised at unit
 radial speed in the induced metric; with them, and with any profile built
@@ -119,48 +125,64 @@ def _const(c: float) -> Callable:
     return lambda u: np.full(u.shape, c) if type(u) is _ND else c
 
 
+def _affine(f0: float, f1: float, g0: float, g1: float, u_domain, name: str,
+            args: dict) -> RevolutionProfile:
+    """The profile f = f0 + f1 u, g = g0 + g1 u."""
+    return RevolutionProfile(
+        f=lambda u: f0 + f1 * u,
+        fp=_const(f1),
+        fpp=_const(0.0),
+        g=lambda u: g0 + g1 * u,
+        gp=_const(g1),
+        gpp=_const(0.0),
+        u_domain=tuple(u_domain),
+        name=name,
+        args=args,
+    )
+
+
 def cylinder(a: float, u_domain=(-2.0, 2.0)) -> RevolutionProfile:
     if a <= 0.0:
         raise ValueError("cylinder radius must be positive")
-    return RevolutionProfile(
-        f=_const(a),
-        fp=_const(0.0),
-        fpp=_const(0.0),
-        g=lambda u: u,
-        gp=_const(1.0),
-        gpp=_const(0.0),
-        u_domain=tuple(u_domain),
-        name="cylinder",
-        args={"a": a},
-    )
+    return _affine(a, 0.0, 0.0, 1.0, u_domain, "cylinder", {"a": a})
 
 
 def cone(k: float, u_domain=(0.2, 2.0)) -> RevolutionProfile:
-    return RevolutionProfile(
-        f=lambda u: u,
-        fp=_const(1.0),
-        fpp=_const(0.0),
-        g=lambda u: k * u,
-        gp=_const(k),
-        gpp=_const(0.0),
-        u_domain=tuple(u_domain),
-        name="cone",
-        args={"k": k},
-    )
+    return _affine(0.0, 1.0, 0.0, k, u_domain, "cone", {"k": k})
 
 
 def slice_profile(z0: float = 0.0, u_domain=(0.2, 2.0)) -> RevolutionProfile:
     """The z = z0 slice, radially parametrised by the coordinate radius."""
+    return _affine(0.0, 1.0, z0, 0.0, u_domain, "slice", {"z0": z0})
+
+
+def _unit_slice(T, C, sign: float, sm: float, c: float, u_domain, name: str,
+                m: float) -> RevolutionProfile:
+    """The z = 0 slice at unit radial speed: f = T(x) / sm, f' = 1 / C(x)^2
+    and f'' = sign 2 sm T(x) / C(x)^2 with x = sm u + c, where (T, C) is
+    (tan, cos) or (tanh, cosh), each given as its (math, numpy) pair."""
+    k = sign * 2.0 * sm
+
+    def f(u):
+        return T[type(u) is _ND](sm * u + c) / sm
+
+    def fp(u):
+        return 1.0 / C[type(u) is _ND](sm * u + c) ** 2
+
+    def fpp(u):
+        nd = type(u) is _ND
+        return k * T[nd](sm * u + c) / C[nd](sm * u + c) ** 2
+
     return RevolutionProfile(
-        f=lambda u: u,
-        fp=_const(1.0),
-        fpp=_const(0.0),
-        g=_const(z0),
+        f=f,
+        fp=fp,
+        fpp=fpp,
+        g=_const(0.0),
         gp=_const(0.0),
         gpp=_const(0.0),
         u_domain=tuple(u_domain),
-        name="slice",
-        args={"z0": z0},
+        name=name,
+        args={"m": m, "c": c},
     )
 
 
@@ -172,28 +194,7 @@ def tan_profile(m: float, c: float = 0.0, u_domain=(0.1, 1.0)) -> RevolutionProf
     lo, hi = u_domain
     if not (-0.5 * math.pi < sm * lo + c and sm * hi + c < 0.5 * math.pi):
         raise ValueError("tan profile domain must stay inside one tangent branch")
-
-    def f(u):
-        return (np if type(u) is _ND else math).tan(sm * u + c) / sm
-
-    def fp(u):
-        return 1.0 / (np if type(u) is _ND else math).cos(sm * u + c) ** 2
-
-    def fpp(u):
-        xp = np if type(u) is _ND else math
-        return 2.0 * sm * xp.tan(sm * u + c) / xp.cos(sm * u + c) ** 2
-
-    return RevolutionProfile(
-        f=f,
-        fp=fp,
-        fpp=fpp,
-        g=_const(0.0),
-        gp=_const(0.0),
-        gpp=_const(0.0),
-        u_domain=tuple(u_domain),
-        name="tan",
-        args={"m": m, "c": c},
-    )
+    return _unit_slice((math.tan, np.tan), (math.cos, np.cos), 1.0, sm, c, u_domain, "tan", m)
 
 
 def tanh_profile(m: float, c: float = 0.5, u_domain=(0.1, 1.5)) -> RevolutionProfile:
@@ -204,28 +205,7 @@ def tanh_profile(m: float, c: float = 0.5, u_domain=(0.1, 1.5)) -> RevolutionPro
     lo, _ = u_domain
     if sm * lo + c <= 0.0:
         raise ValueError("tanh profile needs sqrt(-m) u + c > 0 on the domain")
-
-    def f(u):
-        return (np if type(u) is _ND else math).tanh(sm * u + c) / sm
-
-    def fp(u):
-        return 1.0 / (np if type(u) is _ND else math).cosh(sm * u + c) ** 2
-
-    def fpp(u):
-        xp = np if type(u) is _ND else math
-        return -2.0 * sm * xp.tanh(sm * u + c) / xp.cosh(sm * u + c) ** 2
-
-    return RevolutionProfile(
-        f=f,
-        fp=fp,
-        fpp=fpp,
-        g=_const(0.0),
-        gp=_const(0.0),
-        gpp=_const(0.0),
-        u_domain=tuple(u_domain),
-        name="tanh",
-        args={"m": m, "c": c},
-    )
+    return _unit_slice((math.tanh, np.tanh), (math.cosh, np.cosh), -1.0, sm, c, u_domain, "tanh", m)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)

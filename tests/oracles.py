@@ -474,7 +474,7 @@ _MATRIX_PAIRS = {
 }
 
 
-def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, room=None):
+def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, room):
     """`cvgeo._rk.rk45` with numpy stages: the same controller, guards, budgets
     and exits, but each stage state and the new state are one matrix product
     of an h-scaled tableau row with the stages, so they round as the BLAS
@@ -538,7 +538,7 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, 
                 guard_budget -= 1
                 if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
                     return result("domain-exit")
-                r_new = room(y_new.tolist()) if room is not None else 0.0
+                r_new = room(y_new.tolist())
                 if r_new < 0.0:
                     r = room(y.tolist())
                     h *= min(0.5, _rk._SECANT_AIM * r / (r - r_new))

@@ -6,6 +6,7 @@ residuals; the test names state the criterion.  The closed-form battery
 session-scoped `battery_results` fixture.
 """
 
+import itertools
 import math
 from pathlib import Path
 
@@ -20,7 +21,15 @@ from cvgeo.connection import (
     frame_sectional,
     sectional_curvature,
 )
-from cvgeo.profiles import cone, cylinder, random_profile, slice_profile, tan_profile, tanh_profile
+from cvgeo.profiles import (
+    RevolutionProfile,
+    cone,
+    cylinder,
+    random_profile,
+    slice_profile,
+    tan_profile,
+    tanh_profile,
+)
 from cvgeo.space import MetricParams, Point3
 from cvgeo.surfaces import (
     SurfaceGeodesicState,
@@ -201,6 +210,31 @@ def test_criterion_08_totally_geodesic_classification():
 
 # --------------------------------------------------------------- criterion 9
 
+def _umbilic_sphere(m, c):
+    """Rotational umbilic surface of S^2 x R (l = 0, m > 0), for c < 2 sqrt(m):
+    f = tan(sqrt(m) u) / sqrt(m), so u is arc length from the pole of the
+    S^2 factor and sn = sin(2 sqrt(m) u) / (2 sqrt(m)) the radius of its
+    parallel, and g' = c sn / sqrt(1 - c^2 sn^2), whose integral is
+    g = -asinh(c cos(2 sqrt(m) u) / sqrt(4m - c^2)) / (2 sqrt(m))."""
+    sm = math.sqrt(m)
+    k = 2.0 * sm
+
+    def sn(u):
+        return np.sin(k * u) / k
+
+    return RevolutionProfile(
+        f=lambda u: np.tan(sm * u) / sm,
+        fp=lambda u: 1.0 / np.cos(sm * u) ** 2,
+        fpp=lambda u: 2.0 * sm * np.tan(sm * u) / np.cos(sm * u) ** 2,
+        g=lambda u: -np.arcsinh(c * np.cos(k * u) / math.sqrt(k * k - c * c)) / k,
+        gp=lambda u: c * sn(u) / np.sqrt(1.0 - c * c * sn(u) ** 2),
+        gpp=lambda u: c * np.cos(k * u) / (1.0 - c * c * sn(u) ** 2) ** 1.5,
+        u_domain=(0.2 / sm, 1.3 / sm),
+        name="umbilic",
+        args={"m": m, "c": c},
+    )
+
+
 def test_criterion_09_umbilical_classification():
     worst_good = 0.0
     for params, prof in (
@@ -210,13 +244,26 @@ def test_criterion_09_umbilical_classification():
     ):
         worst_good = max(worst_good, umbilic_defect(params, prof, default_grid(prof)))
 
+    # umbilic but not totally geodesic: the rotational spheres of S^2 x R
+    worst_sphere, least_curved = 0.0, math.inf
+    for m, c in itertools.product((0.25, 1.0, 1.7), (0.3, 0.8, 1.5)):
+        if c < 2.0 * math.sqrt(m):
+            prof = _umbilic_sphere(m, c)
+            grid = default_grid(prof)
+            worst_sphere = max(worst_sphere, umbilic_defect(MetricParams(0.0, m), prof, grid))
+            least_curved = min(least_curved, totally_geodesic_defect(MetricParams(0.0, m), prof, grid))
+
     euc_cyl = umbilic_defect(MetricParams(0.0, 0.0), cylinder(1.0, (-1, 1)), default_grid(cylinder(1.0, (-1, 1)), 4, 6))
     heis_plane = umbilic_defect(MetricParams(1.0, 0.0), slice_profile(0.0, (0.2, 1.8)), default_grid(slice_profile(0.0, (0.2, 1.8)), 4, 6))
-    ok = worst_good < 1e-7 and euc_cyl > 1e-3 and heis_plane > 1e-3
+    ok = (worst_good < 1e-7 and euc_cyl > 1e-3 and heis_plane > 1e-3
+          and worst_sphere < 1e-7 and least_curved > 0.1)
     verdict(
-        "C9 umbilical surfaces are exactly the totally geodesic ones",
+        "C9 umbilical classification: totally geodesic surfaces are umbilic, and S^2 x R also has "
+        "umbilic rotational spheres that are not totally geodesic (Souam-Toubiana, Comment. Math. "
+        "Helv. 84, 2009)",
         ok,
         f"geodesic-group umbilic defect {worst_good:.3e} < 1e-7; "
+        f"S^2 x R spheres umbilic defect {worst_sphere:.3e} < 1e-7, second form {least_curved:.3e} > 0.1; "
         f"round cylinder {euc_cyl:.3e}, twisted plane {heis_plane:.3e} > 1e-3",
     )
 

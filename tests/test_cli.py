@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import cvgeo
 from cvgeo import _rk
+from cvgeo.audits import SUITES
 from cvgeo.cli import TRACE_HEADER, main
 from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import BOUNDARY_MARGIN, annotate_states
@@ -284,6 +286,16 @@ def test_surface_parallels_equator_root(capsys):
     roots = [float(x) for x in out.strip().splitlines()[1:]]
     assert len(roots) == 1
     assert abs(roots[0] - 1.0) < 1e-9
+    # grids whose points miss the root, which is then bisected between two
+    # of them: the slice's u = 1, and tan(u + 0.3) = sqrt(2) on the tan
+    # profile, where G' = f f' (2 - f^2) / (1 + f^2)^3 vanishes
+    for flags, root in (
+        (("--l", "0", "--m", "1", "--profile", "slice", "--u-min", "0.2", "--u-max", "1.8", "--grid", "64"),
+         1.0),
+        (("--l", "1", "--m", "1", "--profile", "tan", "--c", "0.3", "--u-min", "0.1", "--u-max", "0.7"),
+         math.atan(math.sqrt(2.0)) - 0.3),
+    ):
+        assert run_cli(capsys, "surface", *flags, "--action", "parallels") == (0, f"u0\n{root!r}\n", "")
 
 
 def test_surface_meridians_cylinder_true(capsys):
@@ -482,6 +494,30 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
     assert err == f"max closed-vs-numeric discrepancy: {disc}\n"
 
 
+# `audit --suite S --seed 0 --count 60`: the sha256 of stdout per suite.  The
+# records go through numpy matrix products (the speeds of `state_speed`, the
+# metric contractions of the Killing and curvature checks), so, as for
+# GOLDEN, another BLAS kernel may change these bytes.
+AUDIT_GOLDEN = {
+    "curvature": "b8d0eab212f70bac2424b508a837e47f31d6b9f096e68e4371098c7673dbf276",
+    "frobenius": "6814297865b6a3d403365414ea74488b82c5c9119982c64e005520064f517fab",
+    "integrals": "10f1b11b3f4f5de2d5e06da050d211b3766465c0896ab3b4068f111b804f3a31",
+    "killing": "bd3aa1c110216579c5cd711cb269b353d64348efe26dced2a0092ead7718fb27",
+    "surfaces": "b4e828eaa5e9e7156eeebab433c71e1c87f3c4d64462b6ee24bf08defd1376cc",
+}
+
+
+def test_audit_golden_covers_every_suite():
+    assert set(AUDIT_GOLDEN) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", sorted(AUDIT_GOLDEN))
+def test_audit_output_is_golden(capsys, suite):
+    code, out, err = run_cli(capsys, "audit", "--suite", suite, "--seed", "0", "--count", "60")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_GOLDEN[suite]
+
+
 # ------------------------------------------------------------ input ranges
 
 @pytest.mark.parametrize(
@@ -504,9 +540,10 @@ def test_geodesic_output_is_golden(capsys, monkeypatch, name):
         (("geodesic", "--l=5e-324", "--m=-1e154", "--u=1", "--v=-1", "--w=-1e300", "--method", "closed",
           "--t-max", "1", "--samples", "21"),
          "geodesic: point with x^2+y^2 = 1e-154 outside the disk x^2+y^2 < 1e-154 (m = -1e+154)"),
+        # no Python-float ** runs on this path: the numeric run's rhs overflows
         (("geodesic", "--l=1e300", "--m=1", "--u=1", "--v=-0.5", "--w=-1.3", "--t-max=1", "--samples=21",
           "--method=both"),
-         "geodesic: input out of range: Numerical result out of range"),
+         "geodesic: input out of range: overflow encountered in the geodesic rhs"),
         (("surface", "--l=2", "--m=1e308", "--profile=slice", "--action=geodesic", "--su=0.3",
           "--sdu=-1e300", "--sdv=0.3", "--t-max=1", "--samples=21"),
          "surface: input out of range: Numerical result out of range"),

@@ -118,7 +118,7 @@ def test_hyp_rotation_angle_bounded():
 def test_parabolic_matches_oracle():
     traj = oracle(2, -1, (1, 0, 1), 2.0)
     cf = closed_form_geodesic(MetricParams(2, -1), (1, 0, 1))
-    assert cf.case.kind is CaseKind.PARABOLIC_TWISTED
+    assert dispatch_case(MetricParams(2, -1), (1, 0, 1)).kind is CaseKind.PARABOLIC_TWISTED
     assert np.max(np.abs(cf.position(traj.ts) - traj.positions())) < 1e-6
 
 

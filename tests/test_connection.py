@@ -266,6 +266,11 @@ def test_integrate_rejects_out_of_domain_start():
         integrate_geodesic(params, state(2, 0, 0, 1, 0, 0), 1.0)
 
 
+def test_integrate_rejects_fewer_than_two_samples():
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        integrate_geodesic(MetricParams(1.0, 0.5), state(0, 0, 0, 1, 0, 0), 1.0, samples=1)
+
+
 def test_curvature_symmetries_and_bianchi():
     rng = np.random.default_rng(15)
     for _ in range(10):

@@ -26,6 +26,15 @@ def always(y):
     return True
 
 
+def unbounded(y):
+    return math.inf
+
+
+def no_room(y):
+    # a room that tells the stepper nothing: a rejected landing halves h
+    return 0.0
+
+
 def decay(y):
     return [-v for v in y]
 
@@ -35,7 +44,8 @@ PAIRS = (_rk.FEHLBERG45, _rk.DOP853)
 
 def test_complete_decay():
     for pair in PAIRS:
-        ts, ys, fs, reason = rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+        ts, ys, fs, reason = rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair,
+                                  room=unbounded)
         assert reason == "complete"
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0, abs=1e-13)
         assert np.all(np.diff(ts) > 0.0)
@@ -46,7 +56,8 @@ def test_complete_decay():
 def test_domain_exit_from_guard():
     for pair in PAIRS:
         ts, ys, _, reason = rk45(
-            lambda y: [1.0], [0.0], 1.0, 1e-10, guard=lambda y: y[0] < 0.5, guard_error=(), pair=pair
+            lambda y: [1.0], [0.0], 1.0, 1e-10, guard=lambda y: y[0] < 0.5, guard_error=(), pair=pair,
+            room=no_room,
         )
         assert reason == "domain-exit"
         assert np.all(ys[:, 0] < 0.5)
@@ -59,7 +70,7 @@ def test_room_locates_the_guard_exit_by_a_secant():
     # evaluations than halving, and end at the same time
     for pair in PAIRS:
         evals = []
-        for room in (None, lambda y: 0.5 - y[0]):
+        for room in (no_room, lambda y: 0.5 - y[0]):
             calls = 0
 
             def rhs(y):
@@ -83,7 +94,8 @@ def test_domain_exit_from_guard_error_in_a_stage():
         return [1.0]
 
     for pair in PAIRS:
-        ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain, pair=pair)
+        ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain, pair=pair,
+                                 room=unbounded)
         assert reason == "domain-exit"
         assert np.all(ys[:, 0] < 0.5)
         assert ts[-1] == pytest.approx(0.5, abs=1e-9)
@@ -97,14 +109,55 @@ def test_guard_error_of_another_type_propagates():
 
     for pair in PAIRS:
         with pytest.raises(OutOfDomain):
-            rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+            rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair, room=unbounded)
+
+
+def test_a_landing_whose_rhs_raises_halves_the_step():
+    # the guard passes the first landing (h = 0.01), but the rhs there
+    # raises the guard error: a rejection with no room to aim at, so the
+    # retry runs at h / 2 and is accepted
+    for pair in PAIRS:
+        calls = 0
+
+        def rhs(y):
+            nonlocal calls
+            calls += 1
+            if calls == pair.stages + 1:  # f(y_new) of the first attempt
+                raise OutOfDomain("landing")
+            return decay(y)
+
+        ts, _, _, reason = rk45(rhs, [1.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain, pair=pair,
+                                room=unbounded)
+        assert reason == "complete"
+        assert ts[1] == 0.005
+
+
+def test_stage_failures_alone_use_up_the_guard_budget(monkeypatch):
+    # every stage after the initial state is outside: each attempt fails at
+    # its first stage and quarters h, so a budget of 5 ends the run on its
+    # fifth attempt, long before h underflows
+    monkeypatch.setattr(_rk, "GUARD_BUDGET", 5)
+    for pair in PAIRS:
+        calls = 0
+
+        def rhs(y):
+            nonlocal calls
+            calls += 1
+            if calls > 1:
+                raise OutOfDomain("stage")
+            return [1.0]
+
+        ts, _, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain, pair=pair,
+                                room=unbounded)
+        assert (reason, ts.tolist(), calls) == ("domain-exit", [0.0], 6)
 
 
 def test_step_size_underflow_at_blow_up():
     # y' = y^2, y(0) = 1 blows up at t = 1, before t_max
     for pair in PAIRS:
         with pytest.raises(StepSizeUnderflow, match="step size underflow"):
-            rk45(lambda y: [v * v for v in y], [1.0], 2.0, 1e-6, guard=always, guard_error=(), pair=pair)
+            rk45(lambda y: [v * v for v in y], [1.0], 2.0, 1e-6, guard=always, guard_error=(), pair=pair,
+                 room=unbounded)
 
 
 def test_step_budget_exhausted(monkeypatch):
@@ -113,19 +166,21 @@ def test_step_budget_exhausted(monkeypatch):
     for pair in PAIRS:
         with pytest.raises(IntegrationError, match="step budget exhausted"):
             rk45(lambda y: [math.cos(v) for v in y], [0.0], 100.0, 1e-10, guard=always, guard_error=(),
-                 pair=pair)
+                 pair=pair, room=unbounded)
 
 
 def test_initial_state_rejected():
     with pytest.raises(ValueError, match="initial state"):
-        rk45(decay, [1.0], 1.0, 1e-10, guard=lambda y: False, guard_error=(), pair=_rk.DOP853)
+        rk45(decay, [1.0], 1.0, 1e-10, guard=lambda y: False, guard_error=(), pair=_rk.DOP853, room=no_room)
 
 
 def test_guard_is_required():
     with pytest.raises(TypeError):
-        rk45(decay, [1.0], 1.0, 1e-10, pair=_rk.DOP853)
+        rk45(decay, [1.0], 1.0, 1e-10, pair=_rk.DOP853, room=unbounded)
     with pytest.raises(TypeError):  # and so is the pair
-        rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=())
+        rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=(), room=unbounded)
+    with pytest.raises(TypeError):  # and so is the room
+        rk45(decay, [1.0], 1.0, 1e-10, guard=always, guard_error=(), pair=_rk.DOP853)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +196,7 @@ def test_solution_weights_integrate_their_degree_exactly(pair, degree, bound):
     # so does y0^p
     def run(power):
         ts, ys, _, reason = rk45(lambda y: [1.0, y[0] ** power], [0.0, 0.0], 2.0, 1e-8,
-                                 guard=always, guard_error=(), pair=pair)
+                                 guard=always, guard_error=(), pair=pair, room=unbounded)
         assert reason == "complete"
         assert len(ts) > 10
         assert np.max(np.abs(ys[:, 0] - ts)) < 1e-14
@@ -185,11 +240,13 @@ def test_a_nan_stage_quarters_the_step():
                 out[1] = math.nan
             return out
 
-        ts, ys, _, reason = rk45(rhs, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+        ts, ys, _, reason = rk45(rhs, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair,
+                                 room=unbounded)
         assert reason == "complete"
         assert ts[1] == 0.0025
         assert np.all(np.isfinite(ys))
-        clean, _, _, _ = rk45(decay, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair)
+        clean, _, _, _ = rk45(decay, [1.0, 2.0], 1.0, 1e-10, guard=always, guard_error=(), pair=pair,
+                              room=unbounded)
         assert clean[1] == 0.01
 
 
@@ -221,6 +278,13 @@ def test_hermite_sample_returns_the_knots_at_the_knot_times():
     fs = rng.normal(size=(30, 6))
     assert np.array_equal(_rk.hermite_sample(ts, ys, fs, ts), ys)
     assert np.array_equal(_rk.hermite_sample(ts, ys, fs, ts[17]), ys[17])
+
+
+def test_hermite_sample_rejects_a_query_outside_the_span():
+    ts, ys, fs = np.array([0.0, 0.5, 1.0]), np.zeros((3, 2)), np.zeros((3, 2))
+    for t_query in (1.0 + 1e-9, [-1e-9, 0.5]):
+        with pytest.raises(ValueError, match="query time outside the integrated span"):
+            _rk.hermite_sample(ts, ys, fs, t_query)
 
 
 def _sin_knots(steps):
@@ -255,28 +319,31 @@ def test_hermite_sample_skips_a_knot_beyond_a_short_step(steps, bound):
     assert np.max(np.abs(_rk.hermite_sample(ts, ys, fs, tq)[:, 0] - np.sin(tq))) < bound
 
 
-def _numpy_norm(y, y_new, err, tol):
-    """The error norm as numpy array operations; the reference of `_rms_norm`."""
-    r = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-    return math.sqrt(np.add.reduce(r * r) / len(r))
-
-
-def test_rms_norm_is_numpys_bit_for_bit():
-    # state dimensions 4 (surface) and 6 (geodesic), magnitudes over 40
-    # decades, and a nan or an infinity in one component now and then
+def test_fehlberg_attempt_is_numpys_bit_for_bit():
+    # one attempt from preset stages, state dimensions 4 (surface) and 6
+    # (geodesic), magnitudes over 40 decades, and a nan or an infinity in
+    # one stage component now and then: the new state and the inline RMS
+    # error norm equal the same weighted sums as numpy array operations,
+    # the norm summed by numpy's add.reduce
+    b, e = _rk._F45_B, _rk._F45_E
     rng = np.random.default_rng(61)
     for i in range(10000):
         d = 4 if i % 2 else 6
-        y, y_new, err = (rng.normal(size=d) * 10.0 ** rng.uniform(-20, 20, d) for _ in range(3))
+        y = rng.normal(size=d) * 10.0 ** rng.uniform(-20, 20, d)
+        k = rng.normal(size=(6, d)) * 10.0 ** rng.uniform(-20, 20, (6, d))
         if i % 50 == 0:
-            j = int(rng.integers(d))
-            y_new[j] = err[j] = rng.choice([np.nan, np.inf])
+            k[rng.integers(6), rng.integers(d)] = rng.choice([np.nan, np.inf])
         tol = 10.0 ** rng.uniform(-14, -2)
+        h = 10.0 ** rng.uniform(-6, 0)
+        stages = iter(k[1:].tolist())
+        y_new, norm = _rk.FEHLBERG45.bind(lambda _: next(stages), tol)(y.tolist(), k[0].tolist(), h)
         with np.errstate(over="ignore", invalid="ignore"):
-            ref = _numpy_norm(y, y_new, err, tol)
-        norm = _rk._rms_norm(y.tolist(), y_new.tolist(), err.tolist(), tol)
-        assert norm == ref or (math.isnan(norm) and math.isnan(ref)), (y, y_new, err, tol)
-
+            ref_y = y + h * (b[0] * k[0] + b[2] * k[2] + b[3] * k[3] + b[4] * k[4] + b[5] * k[5])
+            err = h * (e[0] * k[0] + e[2] * k[2] + e[3] * k[3] + e[4] * k[4] + e[5] * k[5])
+            r = err / (tol + tol * np.maximum(np.abs(y), np.abs(ref_y)))
+            ref = math.sqrt(np.add.reduce(r * r) / d)
+        assert np.array_equal(y_new, ref_y, equal_nan=True), (y, k, tol, h)
+        assert norm == ref or (math.isnan(norm) and math.isnan(ref)), (y, k, tol, h)
 
 
 def test_float_stages_match_the_matrix_oracle(monkeypatch, bench_workloads):

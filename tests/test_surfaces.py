@@ -609,6 +609,13 @@ def test_surface_geodesic_rejects_radius_outside_disk():
         )
 
 
+def test_surface_geodesic_rejects_a_start_outside_the_profile_domain():
+    with pytest.raises(ValueError, match=r"u0 = 2\.5 outside the profile domain \[-2\.0, 2\.0\]"):
+        surface_geodesic_integrate(
+            MetricParams(1.0, 0.3), cylinder(1.0), SurfaceGeodesicState(2.5, 0.0, 0.3, 0.5), 1.0,
+        )
+
+
 @pytest.mark.parametrize("samples", [1, 0])
 def test_surface_geodesic_rejects_fewer_than_two_samples(samples):
     # as integrate_geodesic does: one sample would be the t = 0 row alone
