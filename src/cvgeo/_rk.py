@@ -5,14 +5,15 @@ defined: the classic six-stage Fehlberg 4(5) pair (`FEHLBERG45`) and the
 twelve-stage Dormand-Prince 8(5,3) pair of Hairer (`DOP853`; Hairer,
 Norsett and Wanner, Solving ODEs I, sections II.5 and II.10), with its
 combined fifth- and third-order error estimate.  The higher-order solution
-is propagated (local extrapolation).  Both pairs make an attempt in one
-form: the coefficients are unpacked once when the pair is bound, the state
-and the stages are lists of Python floats, each stage state and the new
-state is yj + h * (sum of the weighted stages), summed left to right in
-IEEE double arithmetic, and the error norm is summed in the same loop as
-the new state, so the knots do not depend on a BLAS build.  Dense output
-between accepted steps is the Hermite interpolant on (y, f) at the four
-knots around each interval.
+is propagated (local extrapolation).  Both pairs make an attempt through
+one generator: on first use for a (pair, state dimension) it writes the
+attempt as straight-line Python with the state and the stages in locals and
+the coefficients as float literals, and compiles it once for the process.
+Each stage state and the new state is yj + h * (sum of the nonzero weighted
+stages), summed left to right in IEEE double arithmetic, and the error norm
+is the pair's own over the components in order, so the knots do not depend
+on a BLAS build.  Dense output between accepted steps is the Hermite
+interpolant on (y, f) at the four knots around each interval.
 
 The stepper is generic over the state dimension; the geodesic integrators
 in `connection` (DOP853) and `surfaces` (Fehlberg) both run on it.  Each
@@ -24,7 +25,7 @@ at the secant of the room rather than at half its length.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,106 +126,108 @@ class IntegrationError(RuntimeError):
 class Pair(NamedTuple):
     """An embedded Runge-Kutta pair as `rk45` runs it.
 
-    `bind(rhs, tol)` returns attempt(y, k0, h) -> (y_new, err_norm): the
-    stages of one step of size h from y, whose rhs value is k0, the new
-    state and the error norm, scaled so that 1 is the tolerance.  A stage
-    outside the domain raises from inside the attempt.  `error_order` is
-    the order of the error estimate, which sets the step exponent, and
-    `stages` the rhs evaluations of an accepted step, f(y_new) included.
+    Row i of `a` holds the weights of stages 0..i-1 in stage i, `b` the
+    solution weights and `e` the weights of the error estimate.  With `e3`
+    None the error norm is the RMS of h e / sc (Fehlberg); otherwise `e` and
+    `e3` are the fifth- and third-order estimates of Hairer's combined norm
+    (DOP853).  `error_order` is the order of the error estimate, which sets
+    the step exponent.
     """
 
     error_order: int
-    stages: int
-    bind: Callable
+    a: tuple
+    b: tuple
+    e: tuple
+    e3: tuple | None = None
+
+    @property
+    def stages(self) -> int:
+        """The rhs evaluations of an accepted step, f(y_new) included."""
+        return len(self.b)
+
+    def bind(self, rhs, tol, n):
+        """attempt(y, k0, h) -> (y_new, err_norm) for states of dimension n.
+
+        The stages of one step of size h from y, whose rhs value is k0, the
+        new state and the error norm, scaled so that 1 is the tolerance.  A
+        stage outside the domain raises from inside the attempt.  The
+        attempt is compiled once per (pair, n) and kept for the process.
+        """
+        kernel = _KERNELS.get((self, n))
+        if kernel is None:
+            kernel = _KERNELS[self, n] = _compile_kernel(self, n)
+        return kernel(rhs, tol)
 
 
-def _bind_fehlberg(rhs, tol):
-    # the zero weights of stage 1 in the solution and error weights are left out
-    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54)) = _F45_A
-    b0, _, b2, b3, b4, b5 = _F45_B
-    e0, _, e2, e3, e4, e5 = _F45_E
+FEHLBERG45 = Pair(4, _F45_A, _F45_B, _F45_E)
+DOP853 = Pair(7, _DOP853_A, _DOP853_B, _DOP853_E5, _DOP853_E3)
 
-    def attempt(y, k0, h):
-        k1 = rhs([yj + h * (a10 * p0) for yj, p0 in zip(y, k0)])
-        k2 = rhs([yj + h * (a20 * p0 + a21 * p1) for yj, p0, p1 in zip(y, k0, k1)])
-        k3 = rhs([yj + h * (a30 * p0 + a31 * p1 + a32 * p2) for yj, p0, p1, p2 in zip(y, k0, k1, k2)])
-        k4 = rhs([yj + h * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-                  for yj, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
-        k5 = rhs([yj + h * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                  for yj, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
-        # the RMS of h err / (tol + tol max(|y|, |y_new|)), summed in order:
-        # numpy's add.reduce over the same terms.  Python's max skips a nan
-        # in y_new where numpy's maximum keeps it; the error is nan there as
-        # well, since the error weights are nonzero wherever the solution
-        # weights are, so the norm is nan either way
-        y_new = []
-        s = 0.0
-        for yj, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5):
-            yn = yj + h * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
-            y_new.append(yn)
-            sc = tol + tol * max(abs(yj), abs(yn))
-            q = h * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5) / sc
-            s += q * q
-        return y_new, math.sqrt(s / len(y))
-
-    return attempt
+# (pair, n) -> kernel(rhs, tol) -> attempt, filled on first use
+_KERNELS: dict = {}
 
 
-def _bind_dop853(rhs, tol):
-    # the zero weights (stages 1-2 from stage 3 on, stages 1-4 in the
-    # solution and error weights) are left out
-    ((a10,), (a20, a21), (a30, _, a32), (a40, _, a42, a43), (a50, _, _, a53, a54),
-     (a60, _, _, a63, a64, a65), (a70, _, _, a73, a74, a75, a76),
-     (a80, _, _, a83, a84, a85, a86, a87), (a90, _, _, a93, a94, a95, a96, a97, a98),
-     (a100, _, _, a103, a104, a105, a106, a107, a108, a109),
-     (a110, _, _, a113, a114, a115, a116, a117, a118, a119, a1110)) = _DOP853_A
-    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _DOP853_B
-    e0, _, _, _, _, e5, e6, e7, e8, e9, e10, e11 = _DOP853_E5
-    d0, _, _, _, _, d5, d6, d7, d8, d9, d10, d11 = _DOP853_E3
-
-    def attempt(y, k0, h):
-        k1 = rhs([yj + h * (a10 * p0) for yj, p0 in zip(y, k0)])
-        k2 = rhs([yj + h * (a20 * p0 + a21 * p1) for yj, p0, p1 in zip(y, k0, k1)])
-        k3 = rhs([yj + h * (a30 * p0 + a32 * p2) for yj, p0, p2 in zip(y, k0, k2)])
-        k4 = rhs([yj + h * (a40 * p0 + a42 * p2 + a43 * p3) for yj, p0, p2, p3 in zip(y, k0, k2, k3)])
-        k5 = rhs([yj + h * (a50 * p0 + a53 * p3 + a54 * p4) for yj, p0, p3, p4 in zip(y, k0, k3, k4)])
-        k6 = rhs([yj + h * (a60 * p0 + a63 * p3 + a64 * p4 + a65 * p5)
-                  for yj, p0, p3, p4, p5 in zip(y, k0, k3, k4, k5)])
-        k7 = rhs([yj + h * (a70 * p0 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
-                  for yj, p0, p3, p4, p5, p6 in zip(y, k0, k3, k4, k5, k6)])
-        k8 = rhs([yj + h * (a80 * p0 + a83 * p3 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7)
-                  for yj, p0, p3, p4, p5, p6, p7 in zip(y, k0, k3, k4, k5, k6, k7)])
-        k9 = rhs([yj + h * (a90 * p0 + a93 * p3 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7 + a98 * p8)
-                  for yj, p0, p3, p4, p5, p6, p7, p8 in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-        k10 = rhs([yj + h * (a100 * p0 + a103 * p3 + a104 * p4 + a105 * p5 + a106 * p6 + a107 * p7
-                             + a108 * p8 + a109 * p9)
-                   for yj, p0, p3, p4, p5, p6, p7, p8, p9 in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-        k11 = rhs([yj + h * (a110 * p0 + a113 * p3 + a114 * p4 + a115 * p5 + a116 * p6 + a117 * p7
-                             + a118 * p8 + a119 * p9 + a1110 * p10)
-                   for yj, p0, p3, p4, p5, p6, p7, p8, p9, p10
-                   in zip(y, k0, k3, k4, k5, k6, k7, k8, k9, k10)])
-        # Hairer's error norm: h |err5|^2 / sqrt(n (|err5|^2 + 0.01 |err3|^2)),
-        # each component scaled by tol + tol max(|y|, |y_new|)
-        y_new = []
-        s5 = s3 = 0.0
-        for yj, p0, p5, p6, p7, p8, p9, p10, p11 in zip(y, k0, k5, k6, k7, k8, k9, k10, k11):
-            yn = yj + h * (b0 * p0 + b5 * p5 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
-                           + b11 * p11)
-            y_new.append(yn)
-            sc = tol + tol * max(abs(yj), abs(yn))
-            q5 = (e0 * p0 + e5 * p5 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10 + e11 * p11) / sc
-            q3 = (d0 * p0 + d5 * p5 + d6 * p6 + d7 * p7 + d8 * p8 + d9 * p9 + d10 * p10 + d11 * p11) / sc
-            s5 += q5 * q5
-            s3 += q3 * q3
-        if s5 == 0.0 and s3 == 0.0:
-            return y_new, 0.0
-        return y_new, h * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
-
-    return attempt
+def _weighted(weights, j):
+    """The source of sum_i w_i k_i[j] over the nonzero weights, left to right;
+    a float's repr reads back as the same double."""
+    return " + ".join(f"{float(w)!r} * k{i}_{j}" for i, w in enumerate(weights) if w != 0.0)
 
 
-FEHLBERG45 = Pair(4, 6, _bind_fehlberg)
-DOP853 = Pair(7, 12, _bind_dop853)
+def _compile_kernel(pair: Pair, n: int):
+    """kernel(rhs, tol) -> attempt for states of dimension n, as straight-line
+    Python: the state and each stage unpacked into locals, each stage state
+    and the new state yj + h * (the weighted stages) with the coefficients as
+    float literals and the zero weights left out, summed left to right, and
+    the pair's error norm over components 0..n-1 in order.  `max(|yj|,
+    |y_new j|)` is written out as Python's max picks it: |y_new j| where it
+    is the greater, so a nan there is skipped (the error is nan as well)."""
+    comps = range(n)
+
+    def state(names):
+        return ", ".join(names) + ("," if n == 1 else "")
+
+    lines = ["def kernel(rhs, tol):", "    def attempt(y, k0, h):",
+             f"        {state(f'y{j}' for j in comps)} = y",
+             f"        {state(f'k0_{j}' for j in comps)} = k0"]
+    for i, row in enumerate(pair.a, start=1):
+        args = ", ".join(f"y{j} + h * ({_weighted(row, j)})" for j in comps)
+        lines.append(f"        {state(f'k{i}_{j}' for j in comps)} = rhs([{args}])")
+    for j in comps:
+        lines += [f"        z{j} = y{j} + h * ({_weighted(pair.b, j)})",
+                  f"        a = abs(y{j})",
+                  f"        s = abs(z{j})",
+                  f"        sc = tol + tol * (s if s > a else a)"]
+        if pair.e3 is None:
+            lines.append(f"        q{j} = h * ({_weighted(pair.e, j)}) / sc")
+        else:
+            lines += [f"        q{j} = ({_weighted(pair.e, j)}) / sc",
+                      f"        r{j} = ({_weighted(pair.e3, j)}) / sc"]
+    y_new = "[" + ", ".join(f"z{j}" for j in comps) + "]"
+    if pair.e3 is None:
+        # the RMS of h err / sc, summed in order as numpy's add.reduce would
+        lines.append(f"        return {y_new}, sqrt(({' + '.join(f'q{j} * q{j}' for j in comps)}) / {float(n)!r})")
+    else:
+        # Hairer's norm: h |err5|^2 / sqrt(n (|err5|^2 + 0.01 |err3|^2))
+        lines += [f"        s5 = {' + '.join(f'q{j} * q{j}' for j in comps)}",
+                  f"        s3 = {' + '.join(f'r{j} * r{j}' for j in comps)}",
+                  "        if s5 == 0.0 and s3 == 0.0:",
+                  f"            return {y_new}, 0.0",
+                  f"        return {y_new}, h * s5 / sqrt((s5 + 0.01 * s3) * {float(n)!r})"]
+    lines.append("    return attempt")
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines) + "\n", f"<rk kernel {pair.error_order} {n}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _stage_cut(room, y, k0, h) -> float:
+    """The factor on h after a stage of the attempt from y left the domain:
+    the secant toward the Euler state y + h k0 when that state lies outside
+    and y inside, capped at 1/4, and 1/4 otherwise."""
+    r_pred = room([yj + h * fj for yj, fj in zip(y, k0)])
+    if r_pred < 0.0:
+        r = room(y)
+        if r > 0.0:
+            return min(0.25, _SECANT_AIM * r / (r - r_pred))
+    return 0.25
 
 
 def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, room):
@@ -247,7 +250,10 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
     retried at the secant step _SECANT_AIM h room(y) / (room(y) -
     room(y_new)), just short of where the room vanishes, capped at h / 2;
     any other rejection of a landing halves h (Shampine and Thompson,
-    Event location for ordinary differential equations, 2000).
+    Event location for ordinary differential equations, 2000).  An attempt
+    whose stage leaves the domain is retried in the same way at the secant
+    toward the Euler state y + h rhs(y), capped at h / 4, where that state
+    has negative room; otherwise at h / 4.
 
     Returns (ts, ys, fs, exit_reason) with the accepted knots as arrays and
     the rhs values there; exit_reason is "complete" or "domain-exit".
@@ -266,7 +272,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
     def result(exit_reason):
         return np.array(ts), np.array(ys, dtype=float), np.array(fs, dtype=float), exit_reason
 
-    attempt = pair.bind(rhs, tol)
+    attempt = pair.bind(rhs, tol, len(y))
     exponent = -1.0 / (pair.error_order + 1)
     h_max = max(t_max / 8.0, 1e-8)
     h = min(1e-2, t_max / 100.0, h_max)
@@ -291,12 +297,13 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
         try:
             y_new, err_norm = attempt(y, k0, h)
         except guard_error:
-            # a stage left the domain: a guard rejection that shrinks h
+            # a stage left the domain: a guard rejection that shrinks h to
+            # the secant of the room toward the Euler state y + h k0
             guard_hit = True
             guard_budget -= 1
             if guard_budget <= 0:
                 return result("domain-exit")
-            h *= 0.25
+            h *= _stage_cut(room, y, k0, h)
             continue
 
         if err_norm <= 1.0:

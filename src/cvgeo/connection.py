@@ -277,24 +277,26 @@ def curvature_tensor(params: MetricParams, p) -> np.ndarray:
     return gs - gs.transpose(0, 1, 3, 2)
 
 
-def sectional_curvature(params: MetricParams, p, u, v) -> float:
-    """Sectional curvature of the plane spanned by coordinate vectors u, v."""
+def _sectional(g, r, u, v) -> float:
+    """Sectional curvature of the plane of u, v from the metric g and the
+    curvature tensor r at one point."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    g = metric_tensor(params, p)
     gram = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     scale = max(float(u @ u) * float(v @ v), 1e-300)
     if gram <= 1e-12 * scale:
         raise ValueError("degenerate plane: u, v are metrically collinear")
-    r = curvature_tensor(params, p)
     num = float(np.einsum("ijkl,i,j,k,l->", r, u, v, v, u))
     return num / float(gram)
+
+
+def sectional_curvature(params: MetricParams, p, u, v) -> float:
+    """Sectional curvature of the plane spanned by coordinate vectors u, v."""
+    return _sectional(metric_tensor(params, p), curvature_tensor(params, p), u, v)
 
 
 def frame_sectional(params: MetricParams, p) -> tuple[float, float]:
     """Sectional curvatures of the (E1, E2) and (E1, E3) frame planes."""
     fr = frame(params, p)
-    return (
-        sectional_curvature(params, p, fr.e1, fr.e2),
-        sectional_curvature(params, p, fr.e1, fr.e3),
-    )
+    g, r = metric_tensor(params, p), curvature_tensor(params, p)
+    return _sectional(g, r, fr.e1, fr.e2), _sectional(g, r, fr.e1, fr.e3)

@@ -520,7 +520,7 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, 
             guard_budget -= 1
             if guard_budget <= 0:
                 return result("domain-exit")
-            h *= 0.25
+            h *= _rk._stage_cut(room, y.tolist(), f.tolist(), h)
             continue
 
         y_new = y + (h * b) @ k

@@ -101,6 +101,31 @@ def test_domain_exit_from_guard_error_in_a_stage():
         assert ts[-1] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_room_locates_a_stage_exit_by_the_euler_secant():
+    # the stages leave y < 0.5 where y' = 1 does, at t = 0.5: a failed
+    # attempt retries at the secant of the room 0.5 - y toward the Euler
+    # state y + h k0, in far fewer evaluations than quartering h, and ends
+    # at the same time
+    def rhs(y):
+        nonlocal calls
+        calls += 1
+        if y[0] >= 0.5:
+            raise OutOfDomain(f"y = {y[0]!r}")
+        return [1.0]
+
+    for pair in PAIRS:
+        evals = []
+        for room in (unbounded, lambda y: 0.5 - y[0]):
+            calls = 0
+            ts, ys, _, reason = rk45(rhs, [0.0], 1.0, 1e-10, guard=always, guard_error=OutOfDomain, pair=pair,
+                                     room=room)
+            assert reason == "domain-exit"
+            assert np.all(ys[:, 0] < 0.5)
+            assert ts[-1] == pytest.approx(0.5, abs=1e-12)
+            evals.append(calls)
+        assert evals[1] < evals[0] / 2, evals
+
+
 def test_guard_error_of_another_type_propagates():
     def rhs(y):
         if y[0] >= 0.5:
@@ -319,31 +344,63 @@ def test_hermite_sample_skips_a_knot_beyond_a_short_step(steps, bound):
     assert np.max(np.abs(_rk.hermite_sample(ts, ys, fs, tq)[:, 0] - np.sin(tq))) < bound
 
 
-def test_fehlberg_attempt_is_numpys_bit_for_bit():
-    # one attempt from preset stages, state dimensions 4 (surface) and 6
-    # (geodesic), magnitudes over 40 decades, and a nan or an infinity in
-    # one stage component now and then: the new state and the inline RMS
-    # error norm equal the same weighted sums as numpy array operations,
-    # the norm summed by numpy's add.reduce
-    b, e = _rk._F45_B, _rk._F45_E
+def _numpy_attempt(pair, y, k, tol, h):
+    """The stage states, the new state and the error norm of one attempt
+    from the stages k, as numpy array operations over the pair's nonzero
+    weights, summed in order."""
+    def weighted(weights):
+        terms = [w * k[i] for i, w in enumerate(weights) if w != 0.0]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    stage_states = [y + h * weighted(row) for row in pair.a]
+    y_new = y + h * weighted(pair.b)
+    sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+    if pair.e3 is None:
+        r = h * weighted(pair.e) / sc
+        return stage_states, y_new, math.sqrt(np.add.reduce(r * r) / len(y))
+    q5, q3 = weighted(pair.e) / sc, weighted(pair.e3) / sc
+    s5, s3 = np.add.reduce(q5 * q5), np.add.reduce(q3 * q3)
+    if s5 == 0.0 and s3 == 0.0:
+        return stage_states, y_new, 0.0
+    return stage_states, y_new, h * s5 / math.sqrt((s5 + 0.01 * s3) * len(y))
+
+
+def test_each_attempt_is_numpys_bit_for_bit():
+    # one attempt of each pair from preset stages, state dimensions 1 to 6,
+    # magnitudes over 40 decades, a nan or an infinity in one stage
+    # component now and then, and now and then all stages zero (DOP853's
+    # zero-norm branch): the stage states, the new state and the error norm
+    # (Fehlberg's RMS, Hairer's combined norm) equal the same weighted sums
+    # as numpy array operations, the norm summed by numpy's add.reduce
     rng = np.random.default_rng(61)
-    for i in range(10000):
-        d = 4 if i % 2 else 6
-        y = rng.normal(size=d) * 10.0 ** rng.uniform(-20, 20, d)
-        k = rng.normal(size=(6, d)) * 10.0 ** rng.uniform(-20, 20, (6, d))
-        if i % 50 == 0:
-            k[rng.integers(6), rng.integers(d)] = rng.choice([np.nan, np.inf])
-        tol = 10.0 ** rng.uniform(-14, -2)
-        h = 10.0 ** rng.uniform(-6, 0)
-        stages = iter(k[1:].tolist())
-        y_new, norm = _rk.FEHLBERG45.bind(lambda _: next(stages), tol)(y.tolist(), k[0].tolist(), h)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref_y = y + h * (b[0] * k[0] + b[2] * k[2] + b[3] * k[3] + b[4] * k[4] + b[5] * k[5])
-            err = h * (e[0] * k[0] + e[2] * k[2] + e[3] * k[3] + e[4] * k[4] + e[5] * k[5])
-            r = err / (tol + tol * np.maximum(np.abs(y), np.abs(ref_y)))
-            ref = math.sqrt(np.add.reduce(r * r) / d)
-        assert np.array_equal(y_new, ref_y, equal_nan=True), (y, k, tol, h)
-        assert norm == ref or (math.isnan(norm) and math.isnan(ref)), (y, k, tol, h)
+    for pair in PAIRS:
+        s = pair.stages
+        for i in range(6000):
+            d = 1 + i % 6
+            y = rng.normal(size=d) * 10.0 ** rng.uniform(-20, 20, d)
+            k = rng.normal(size=(s, d)) * 10.0 ** rng.uniform(-20, 20, (s, d))
+            if i % 50 == 0:
+                k[rng.integers(s), rng.integers(d)] = rng.choice([np.nan, np.inf])
+            if i % 97 == 0:
+                k[:] = 0.0
+            tol = 10.0 ** rng.uniform(-14, -2)
+            h = 10.0 ** rng.uniform(-6, 0)
+            stages = iter(k[1:].tolist())
+            seen = []
+
+            def rhs(state):
+                seen.append(state)
+                return next(stages)
+
+            y_new, norm = pair.bind(rhs, tol, d)(y.tolist(), k[0].tolist(), h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref_stages, ref_y, ref = _numpy_attempt(pair, y, k, tol, h)
+            assert np.array_equal(seen, ref_stages, equal_nan=True), (pair.error_order, y, k, tol, h)
+            assert np.array_equal(y_new, ref_y, equal_nan=True), (pair.error_order, y, k, tol, h)
+            assert norm == ref or (math.isnan(norm) and math.isnan(ref)), (pair.error_order, y, k, tol, h)
 
 
 def test_float_stages_match_the_matrix_oracle(monkeypatch, bench_workloads):
@@ -383,7 +440,8 @@ def test_a_surface_domain_exit_spends_few_evaluations_after_its_first_rejection(
     # run that halved h against the guard ended at t = 1.864452871179161
     # after 333 rhs evaluations, 287 of them after its first guard
     # rejection (a guard failure or a stage outside the domain); the secant
-    # retry spends 122 of 168, and ends at the same time to rounding
+    # retries, of landings and of stages toward the Euler state, spend 69
+    # of 115, and end at the same time to rounding
     params = MetricParams(-1.9437254448921353, -1.4535671977130735)
     prof = random_profile(params, np.random.default_rng(1541141206))
     s0 = SurfaceGeodesicState(0.6592211532931436, 0.0, 0.6736427867467205, 1.0026541044779285)

@@ -130,3 +130,35 @@ def test_the_cli_runs_without_scipy():
     env["PYTHONPATH"] = str(src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "0 []\n", out
+
+
+def test_rk_kernels_compile_on_first_use_once(monkeypatch):
+    # the benchmark's setup_s is a fresh interpreter importing cvgeo.cli: it
+    # must not generate or compile a Runge-Kutta kernel.  In a process, the
+    # first integration of a dimension compiles its kernel and a second one
+    # of the same dimension reuses it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import cvgeo.cli\nfrom cvgeo import _rk\nprint(len(_rk._KERNELS))\n"
+    env = {k: v for k, v in os.environ.items() if k != "CVGEO_TOL"}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n", out
+
+    import numpy as np
+
+    from cvgeo import _rk
+    from cvgeo.connection import GeodesicState, integrate_geodesic
+    from cvgeo.space import MetricParams, Point3
+
+    compiled = []
+    compile_kernel = _rk._compile_kernel
+
+    def counted(pair, n):
+        compiled.append((pair, n))
+        return compile_kernel(pair, n)
+
+    monkeypatch.setattr(_rk, "_KERNELS", {})
+    monkeypatch.setattr(_rk, "_compile_kernel", counted)
+    for v0 in ((1.0, 0.0, 1.0), (0.3, -0.8, 0.5)):
+        integrate_geodesic(MetricParams(1.0, 1.0), GeodesicState(Point3(0.0, 0.0, 0.0), np.array(v0)), 3.0)
+    assert compiled == [(_rk.DOP853, 6)]
