@@ -16,10 +16,10 @@ on a BLAS build.  Dense output between accepted steps is the Hermite
 interpolant on (y, f) at the four knots around each interval.
 
 The stepper is generic over the state dimension; the geodesic integrators
-in `connection` (DOP853) and `surfaces` (Fehlberg) both run on it.  Each
-gives it the signed room to its domain's edge, which is required, and a
-guard derived from that room, so that a step that lands outside is retried
-at the secant of the room rather than at half its length.
+in `connection` (DOP853) and `surfaces` (Fehlberg) both run on it through
+`solve`, which holds their one domain rule: a state is inside where its
+signed room to the domain's edge is >= 0.  A step that leaves the domain
+is retried at the secant of the room rather than at a fixed fraction.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .space import DomainError
+
 __all__ = [
     "StepSizeUnderflow",
     "IntegrationError",
@@ -36,6 +38,7 @@ __all__ = [
     "FEHLBERG45",
     "DOP853",
     "rk45",
+    "solve",
     "hermite_sample",
 ]
 
@@ -218,16 +221,13 @@ def _compile_kernel(pair: Pair, n: int):
     return namespace["kernel"]
 
 
-def _stage_cut(room, y, k0, h) -> float:
-    """The factor on h after a stage of the attempt from y left the domain:
-    the secant toward the Euler state y + h k0 when that state lies outside
-    and y inside, capped at 1/4, and 1/4 otherwise."""
-    r_pred = room([yj + h * fj for yj, fj in zip(y, k0)])
-    if r_pred < 0.0:
-        r = room(y)
-        if r > 0.0:
-            return min(0.25, _SECANT_AIM * r / (r - r_pred))
-    return 0.25
+def _secant(r: float, r_out: float, cap: float) -> float:
+    """The factor on h of a retry from a state of room r toward one of room
+    r_out: _SECANT_AIM of the way to where the secant of the room vanishes,
+    capped at cap, where r_out < 0 < r; cap otherwise."""
+    if r_out < 0.0 < r:
+        return min(cap, _SECANT_AIM * r / (r - r_out))
+    return cap
 
 
 def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, room):
@@ -238,22 +238,20 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
     keep both uncopied until the run ends.  `room(y) -> float` is the
     signed distance to the edge of the domain, and guard(y) -> bool marks
     the states that are still acceptable, with guard(y) false wherever
-    room(y) < 0 (each integrator of this package derives its guard from
-    its room).  A step landing on a rejected state is retried with a
-    smaller h, and if h underflows near the obstruction the partial
-    solution is returned with exit reason "domain-exit".  `guard_error` is
-    the exception type the rhs may raise for out-of-domain stage
-    evaluations; it is handled the same way.  `pair` is the embedded pair
-    that makes each attempt (`FEHLBERG45` or `DOP853`).
+    room(y) < 0 (`solve` passes room(y) >= 0).  A step landing on a
+    rejected state is retried with a smaller h, and if h underflows near
+    the obstruction the partial solution is returned with exit reason
+    "domain-exit".  `guard_error` is the exception type the rhs may raise
+    for out-of-domain stage evaluations; it is handled the same way.
+    `pair` is the embedded pair that makes each attempt (`FEHLBERG45` or
+    `DOP853`).
 
-    A step that passes the error test but lands where room(y_new) < 0 is
-    retried at the secant step _SECANT_AIM h room(y) / (room(y) -
-    room(y_new)), just short of where the room vanishes, capped at h / 2;
-    any other rejection of a landing halves h (Shampine and Thompson,
-    Event location for ordinary differential equations, 2000).  An attempt
-    whose stage leaves the domain is retried in the same way at the secant
-    toward the Euler state y + h rhs(y), capped at h / 4, where that state
-    has negative room; otherwise at h / 4.
+    Both kinds of rejection are retried at the `_secant` of the room, just
+    short of where it vanishes (Shampine and Thompson, Event location for
+    ordinary differential equations, 2000): a landing y_new at most h / 2,
+    and an attempt whose stage leaves the domain toward the Euler state
+    y + h rhs(y) at most h / 4; where y_new or that state has no negative
+    room, the retry takes the cap.
 
     Returns (ts, ys, fs, exit_reason) with the accepted knots as arrays and
     the rhs values there; exit_reason is "complete" or "domain-exit".
@@ -303,7 +301,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
             guard_budget -= 1
             if guard_budget <= 0:
                 return result("domain-exit")
-            h *= _stage_cut(room, y, k0, h)
+            h *= _secant(room(y), room([yj + h * fj for yj, fj in zip(y, k0)]), 0.25)
             continue
 
         if err_norm <= 1.0:
@@ -318,12 +316,7 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
                 guard_budget -= 1
                 if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
                     return result("domain-exit")
-                r_new = room(y_new)
-                if r_new < 0.0:
-                    r = room(y)
-                    h *= min(0.5, _SECANT_AIM * r / (r - r_new))
-                else:
-                    h *= 0.5
+                h *= _secant(room(y), room(y_new), 0.5)
                 continue
             t += h
             y = y_new
@@ -347,6 +340,28 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
     raise IntegrationError(f"step budget exhausted at t = {t!r} < t_max = {t_max!r}")
+
+
+def solve(rhs, y0, t_max: float, tol: float, *, pair: Pair, room, samples: int | None = None):
+    """`rk45` (looked up when called) on the domain room(y) >= 0, false on nan,
+    with the rhs raising `DomainError` outside it: the one domain rule of
+    both integrators of this package.  Returns (t_out, y_out, (ts, ys, fs),
+    exit_reason): the knots, and with `samples` (at least 2) given, their
+    Hermite interpolant on a uniform grid of [0, ts[-1]]; otherwise the knots.
+    """
+    if samples is not None and samples < 2:
+        raise ValueError("samples must be at least 2")
+
+    def guard(y):
+        return room(y) >= 0.0
+
+    ts, ys, fs, exit_reason = rk45(
+        rhs, y0, t_max, tol, guard=guard, guard_error=DomainError, pair=pair, room=room
+    )
+    if samples is None:
+        return ts, ys, (ts, ys, fs), exit_reason
+    t_out = np.linspace(0.0, ts[-1], samples)
+    return t_out, hermite_sample(ts, ys, fs, t_out), (ts, ys, fs), exit_reason
 
 
 def hermite_sample(ts, ys, fs, t_query) -> np.ndarray:

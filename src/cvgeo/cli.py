@@ -30,11 +30,11 @@ from ._rk import IntegrationError, StepSizeUnderflow
 from .audits import SUITES, run_suite
 from .closed_forms import closed_form_geodesic
 from .connection import (
-    BOUNDARY_MARGIN,
     DEFAULT_TOL,
     GeodesicState,
     annotate_states,
     integrate_geodesic,
+    stop_shell_rho2,
 )
 from .profiles import cone, cylinder, slice_profile, tan_profile, tanh_profile, validate_profile
 from .space import MetricParams, Point3, SpaceClass, classify
@@ -132,13 +132,13 @@ def _print_rows(header: str, rows) -> None:
 
 
 def _shell_exit_time(params: MetricParams, closed, ts, pos):
-    """For m < 0, the time at which the closed form reaches the stop shell
-    rho^2 = -1/m - BOUNDARY_MARGIN of the numeric path, bisected between the
+    """For m < 0, the time at which the closed form reaches the stop shell of
+    `stop_shell_rho2`, where the numeric path stops, bisected between the
     first sample at or beyond it and the sample before; the returned time
     is the last one found inside.  None if no sample reaches the shell."""
     if params.m >= 0.0:
         return None
-    rho2_stop = -1.0 / params.m - BOUNDARY_MARGIN
+    rho2_stop = stop_shell_rho2(params)
     beyond = np.flatnonzero(pos[:, 0] ** 2 + pos[:, 1] ** 2 >= rho2_stop)
     if beyond.size == 0:
         return None
@@ -225,17 +225,14 @@ def cmd_surface(args) -> int:
     validate_profile(params, profile)
 
     if args.action == "forms":
-        rows = []
         grid = default_grid(profile, nu=args.grid, nv=8)
         # A value that overflows reaches _print_rows' check as inf or nan,
         # as it did through scalar arithmetic.
         with np.errstate(over="ignore", invalid="ignore"):
-            for row in np.split(grid, args.grid):  # one call per u keeps the work arrays at 8 points
-                forms = second_fundamental_form(params, profile, row)
-                a, b = forms.first, forms.second
-                rows.append(np.column_stack([row, a[:, 0, 0], a[:, 0, 1], a[:, 1, 1],
-                                             b[:, 0, 0], b[:, 0, 1], b[:, 1, 1]]))
-        _print_rows("u,v,E,F,G,B_uu,B_uv,B_vv", np.concatenate(rows))
+            forms = second_fundamental_form(params, profile, grid)
+        a, b = forms.first, forms.second
+        _print_rows("u,v,E,F,G,B_uu,B_uv,B_vv", np.column_stack(
+            [grid, a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], b[:, 0, 0], b[:, 0, 1], b[:, 1, 1]]))
         return EXIT_OK
 
     if args.action == "parallels":

@@ -197,6 +197,13 @@ def annotate_states(params: MetricParams, states) -> tuple[np.ndarray, np.ndarra
     return integrals, state_speed(params, states[:, :3], states[:, 3:])
 
 
+def stop_shell_rho2(params: MetricParams) -> float:
+    """rho^2 = -1/m - BOUNDARY_MARGIN of the m < 0 stop shell, where geodesic
+    runs end; for m <= -1/BOUNDARY_MARGIN it is not positive, and the shell
+    lies at or past the origin."""
+    return -1.0 / params.m - BOUNDARY_MARGIN
+
+
 def integrate_geodesic(
     params: MetricParams,
     s0: GeodesicState,
@@ -204,26 +211,25 @@ def integrate_geodesic(
     tol: float = DEFAULT_TOL,
     samples: int | None = None,
 ) -> Trajectory:
-    """Integrate the geodesic from s0 over [0, t_max].
+    """Integrate the geodesic from s0 over [0, t_max] by `_rk.solve`.
 
     With `samples` given, the trajectory rows sit on a uniform time grid
     (degree-7 Hermite dense output); otherwise the accepted integration steps
-    are returned.  For m < 0 the run stops with exit_reason "domain-exit"
-    when the path comes within BOUNDARY_MARGIN of the disk boundary.
+    are returned.  The run stops with exit_reason "domain-exit" where its
+    room runs out: for m < 0 at `stop_shell_rho2`, and otherwise at
+    CHART_BOUND.  A shell at or past the origin raises DomainError.
     """
     require_in_domain(params, s0.point)
-    if samples is not None and samples < 2:
-        raise ValueError("samples must be at least 2")
     l, m = float(params.l), float(params.m)  # the rhs runs on Python floats
 
     def rhs(y6):
         return _rhs_entries(l, m, y6)
 
-    # the signed room to the domain's edge: the m < 0 stop shell, or the
-    # chart bound.  The guard is room > 0, the same test on every float, inf
-    # and nan as rho^2 < the shell's rho^2 and max |coordinate| < CHART_BOUND
+    # the signed room to the domain's edge: the stop shell, or the chart bound
     if m < 0.0:
-        rho2_stop = -1.0 / m - BOUNDARY_MARGIN
+        rho2_stop = stop_shell_rho2(params)
+        if not rho2_stop > 0.0:
+            raise DomainError(f"the stop shell x^2+y^2 = {rho2_stop!r} of m = {m!r} is at or past the origin")
 
         def room(y6, _lim=rho2_stop):
             return _lim - (y6[0] * y6[0] + y6[1] * y6[1])
@@ -233,18 +239,9 @@ def integrate_geodesic(
         def room(y6):
             return CHART_BOUND - max(abs(y6[0]), abs(y6[1]), abs(y6[2]))
 
-    def guard(y6):
-        return room(y6) > 0.0
-
-    ts, ys, fs, exit_reason = _rk.rk45(
-        rhs, s0.as_array(), t_max, tol,
-        guard=guard, guard_error=DomainError, pair=_rk.DOP853, room=room,
+    t_out, y_out, (ts, ys, fs), exit_reason = _rk.solve(
+        rhs, s0.as_array(), t_max, tol, pair=_rk.DOP853, room=room, samples=samples
     )
-    if samples is None:
-        t_out, y_out = ts, ys
-    else:
-        t_out = np.linspace(0.0, ts[-1], samples)
-        y_out = _rk.hermite_sample(ts, ys, fs, t_out)
     integrals, speeds = annotate_states(params, y_out)
     return Trajectory(
         params=params,

@@ -113,10 +113,14 @@ def in_domain(params: MetricParams, p) -> bool:
 def require_in_domain(params: MetricParams, p) -> None:
     if not in_domain(params, p):
         x, y, _ = _xyz(p)
-        raise DomainError(
-            f"point with x^2+y^2 = {float(x * x + y * y)!r} outside the disk "
-            f"x^2+y^2 < {-1.0 / params.m!r} (m = {params.m!r})"
-        )
+        raise _outside_disk(params, x * x + y * y)
+
+
+def _outside_disk(params: MetricParams, rho2) -> DomainError:
+    return DomainError(
+        f"point with x^2+y^2 = {float(rho2)!r} outside the disk "
+        f"x^2+y^2 < {-1.0 / params.m!r} (m = {params.m!r})"
+    )
 
 
 def classify(params: MetricParams) -> SpaceClass:
@@ -150,15 +154,14 @@ def _is_rows(p) -> bool:
     return isinstance(p, np.ndarray) and p.ndim > 1
 
 
-def _rows_in_domain(params: MetricParams, p: np.ndarray):
-    """x and y of an (..., 3) array of points; raises `require_in_domain`'s
+def _rows_in_domain(params: MetricParams, x, y) -> None:
+    """The disk test of arrays of x and y, which broadcast together: raises
     DomainError for the first point, in row order, outside the m < 0 disk."""
-    x, y = p[..., 0], p[..., 1]
     if params.m < 0.0:
-        outside = ~(x * x + y * y < -1.0 / params.m)
+        rho2 = x * x + y * y
+        outside = ~(rho2 < -1.0 / params.m)
         if outside.any():
-            require_in_domain(params, p[outside][0])
-    return x, y
+            raise _outside_disk(params, rho2[outside][0])
 
 
 def metric_tensor(params: MetricParams, p) -> np.ndarray:
@@ -168,7 +171,8 @@ def metric_tensor(params: MetricParams, p) -> np.ndarray:
     result whose entries are those of the one-point calls, bit for bit.
     """
     if _is_rows(p):
-        x, y = _rows_in_domain(params, p)
+        x, y = p[..., 0], p[..., 1]
+        _rows_in_domain(params, x, y)
         D, al, be = _metric_scalars(params, x, y)
         q = 1.0 / (D * D)
         g = np.empty(p.shape[:-1] + (3, 3))

@@ -34,7 +34,14 @@ import numpy as np
 
 from . import _rk
 from .profiles import RevolutionProfile, _on_array
-from .space import DomainError, MetricParams, metric_tensor, require_in_domain
+from .space import (
+    DomainError,
+    MetricParams,
+    _metric_scalars,
+    _rows_in_domain,
+    metric_tensor,
+    require_in_domain,
+)
 
 __all__ = [
     "FundamentalForms",
@@ -92,17 +99,13 @@ def _profile_rows(params: MetricParams, profile: RevolutionProfile, q, *derivs):
     Each profile callable runs once, on all rows.  The height g runs once, at
     the largest u: no form needs it, and for a unit-speed profile its
     quadrature of g' over [u_lo, max u] is the unit-compatibility check.  The
-    m < 0 disk bounds the radius f only, and the first row outside it, in
-    grid order, raises `require_in_domain`'s DomainError.
+    m < 0 disk bounds the radius f only (`space._rows_in_domain`).
     """
     q = np.asarray(q, dtype=float)
     u, v = q.reshape(-1, 2).T
     profile.g(float(u.max()))
     values = _profile_values(u, profile.f, profile.fp, profile.gp, *derivs)
-    if params.m < 0.0:
-        outside = ~(values[0] * values[0] < -1.0 / params.m)
-        if outside.any():
-            require_in_domain(params, (values[0][outside][0], 0.0, 0.0))
+    _rows_in_domain(params, values[0], 0.0)
     return q.ndim == 1, v, values
 
 
@@ -246,14 +249,14 @@ def umbilic_defect(params: MetricParams, profile: RevolutionProfile, sample_grid
 def frobenius_scalar(params: MetricParams, p=None) -> float:
     """Integrability obstruction of the distribution orthogonal to E3.
 
-    The vertical coframe element omega^3 = alpha dx + beta dy + dz has
-    alpha = l y / (2 D) and beta = -l x / (2 D), D = 1 + m (x^2 + y^2),
-    neither depending on z, so omega ^ d(omega) = (d_x beta - d_y alpha)
-    dx ^ dy ^ dz.  Those two derivatives are central differences (step
-    1e-6), and the 3-form is normalised against the metric volume form
-    (oriented so the twist parameter comes out with its sign): the result
-    equals l, at every point, and vanishes exactly when the distribution
-    is integrable.
+    The vertical coframe element omega^3 = alpha dx + beta dy + dz of the
+    metric (`space._metric_scalars`) has alpha = l y / (2 D) and beta =
+    -l x / (2 D), D = 1 + m (x^2 + y^2), neither depending on z, so
+    omega ^ d(omega) = (d_x beta - d_y alpha) dx ^ dy ^ dz.  Those two
+    derivatives are central differences (step 1e-6), and the 3-form is
+    normalised against the metric volume form (oriented so the twist
+    parameter comes out with its sign): the result equals l, at every
+    point, and vanishes exactly when the distribution is integrable.
     """
     if p is None:
         if params.m < 0.0:
@@ -263,16 +266,10 @@ def frobenius_scalar(params: MetricParams, p=None) -> float:
         p = (0.617 * s, -0.459 * s, 0.2)
     require_in_domain(params, p)
     x, y, _ = (float(c) for c in p)
-    l, m = params.l, params.m
-
-    def alpha_beta(qx, qy):
-        d = 1.0 + m * (qx * qx + qy * qy)
-        return 0.5 * l * qy / d, -0.5 * l * qx / d
-
     h = 1e-6
-    dx_beta = (alpha_beta(x + h, y)[1] - alpha_beta(x - h, y)[1]) / (2.0 * h)
-    dy_alpha = (alpha_beta(x, y + h)[0] - alpha_beta(x, y - h)[0]) / (2.0 * h)
-    d0 = 1.0 + m * (x * x + y * y)
+    dx_beta = (_metric_scalars(params, x + h, y)[2] - _metric_scalars(params, x - h, y)[2]) / (2.0 * h)
+    dy_alpha = (_metric_scalars(params, x, y + h)[1] - _metric_scalars(params, x, y - h)[1]) / (2.0 * h)
+    d0 = _metric_scalars(params, x, y)[0]
     return -d0 * d0 * (dx_beta - dy_alpha)
 
 
@@ -336,19 +333,17 @@ def surface_geodesic_integrate(
     tol: float = SURFACE_DEFAULT_TOL,
     samples: int | None = None,
 ) -> SurfaceTrajectory:
-    """Integrate the geodesic equations of the induced metric.
+    """Integrate the geodesic equations of the induced metric by `_rk.solve`.
 
     Conserves the induced speed and the rotational momentum
     p_v = 2 G v' + 2 F u' to integrator accuracy.  Leaving the profile
-    domain ends the run with the partial trajectory ("domain-exit"); the
-    stepper closes in on the domain's end by the secant of the room to it.
-    With `samples` (at least 2) given, the rows sit on a uniform time grid.
+    domain, less 2e-6 of its length at each end, ends the run with the
+    partial trajectory ("domain-exit").  With `samples` (at least 2) given,
+    the rows sit on a uniform time grid.
     """
     lo, hi = profile.u_domain
     if not profile.contains(s0.u):
         raise ValueError(f"u0 = {s0.u!r} outside the profile domain [{lo!r}, {hi!r}]")
-    if samples is not None and samples < 2:
-        raise ValueError("samples must be at least 2")
 
     def rhs(y4):
         return _surface_rhs(params, profile, y4)
@@ -359,19 +354,9 @@ def surface_geodesic_integrate(
     def room(y4):
         return min(y4[0] - u_lo, u_hi - y4[0])
 
-    def guard(y4):  # u_lo <= u <= u_hi, on every float, inf and nan
-        return room(y4) >= 0.0
-
-    ts, ys, fs, exit_reason = _rk.rk45(
-        rhs, s0.as_array(), t_max, tol,
-        guard=guard, guard_error=DomainError, pair=_rk.FEHLBERG45, room=room,
+    t_out, y_out, _, exit_reason = _rk.solve(
+        rhs, s0.as_array(), t_max, tol, pair=_rk.FEHLBERG45, room=room, samples=samples
     )
-    if samples is not None:
-        t_out = np.linspace(0.0, ts[-1], samples)
-        y_out = _rk.hermite_sample(ts, ys, fs, t_out)
-    else:
-        t_out, y_out = ts, ys
-
     e0, f0, g0 = _form_coefficients(
         params, *_profile_values(y_out[:, 0], profile.f, profile.fp, profile.gp)
     )

@@ -520,7 +520,7 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, 
             guard_budget -= 1
             if guard_budget <= 0:
                 return result("domain-exit")
-            h *= _rk._stage_cut(room, y.tolist(), f.tolist(), h)
+            h *= _rk._secant(room(y.tolist()), room((y + h * f).tolist()), 0.25)
             continue
 
         y_new = y + (h * b) @ k
@@ -538,12 +538,7 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, 
                 guard_budget -= 1
                 if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
                     return result("domain-exit")
-                r_new = room(y_new.tolist())
-                if r_new < 0.0:
-                    r = room(y.tolist())
-                    h *= min(0.5, _rk._SECANT_AIM * r / (r - r_new))
-                else:
-                    h *= 0.5
+                h *= _rk._secant(room(y.tolist()), room(y_new.tolist()), 0.5)
                 continue
             t += h
             y = y_new

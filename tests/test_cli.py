@@ -114,6 +114,19 @@ def test_geodesic_closed_stops_at_the_shell_for_m_negative(capsys):
     assert np.all(rows[:, 1] ** 2 + rows[:, 2] ** 2 < -1.0 / m - BOUNDARY_MARGIN)
 
 
+@pytest.mark.parametrize("method", ["numeric", "both"])
+def test_geodesic_refuses_a_stop_shell_past_the_origin(capsys, method):
+    # for m <= -1/BOUNDARY_MARGIN the shell -1/m - BOUNDARY_MARGIN is not
+    # positive: the numeric path refuses m, naming the stop shell
+    code, out, err = run_cli(
+        capsys, "geodesic", "--l", "1", "--m=-1.5e9", "--u", "1e-9", "--v", "0", "--w", "1",
+        "--t-max", "1", "--samples", "3", "--method", method,
+    )
+    assert (code, out) == (65, "")
+    assert err == ("geodesic: the stop shell x^2+y^2 = -3.333333333333334e-10 of m = -1500000000.0 "
+                   "is at or past the origin\n")
+
+
 def test_geodesic_closed_inside_the_shell_is_unchanged(capsys):
     # an m < 0 path that stays inside: the rows on [0, t-max], exit 0
     params = MetricParams(0.8, -0.6)
@@ -516,6 +529,27 @@ def test_audit_output_is_golden(capsys, suite):
     code, out, err = run_cli(capsys, "audit", "--suite", suite, "--seed", "0", "--count", "60")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_GOLDEN[suite]
+
+
+# `surface --action forms` at the default flags of each built-in profile:
+# (l, m) and the sha256 of stdout.  The rows are elementwise array
+# arithmetic in closed form, so the whole grid in one call prints the bytes
+# of a call per u.
+FORMS_GOLDEN = {
+    "cylinder": (("0.8", "-0.6"), "28895404cba7ba5099bf4270465f9c09258c18f003c3423fb26488ec65dceb6a"),
+    "cone": (("1.3", "0.7"), "ca79aa64f37b9ecf9d93f6d7212c2599c2d4ad95112fd0051e57b754b91abc0b"),
+    "slice": (("1.3", "0.7"), "42094c74de9ba3643d0f042719eb47958b3051736218184aa95666843f21e248"),
+    "tan": (("1.3", "0.7"), "0f117aeccbca8e74d6ca57e0f7dcd26c5540ffced55c7f289daffff833e3e304"),
+    "tanh": (("0.8", "-0.6"), "6e7fe967d62cfba61444943909368c82eb1d463d1862da76d96b39301acc4d57"),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(FORMS_GOLDEN))
+def test_surface_forms_output_is_golden(capsys, profile):
+    (l, m), digest = FORMS_GOLDEN[profile]
+    code, out, err = run_cli(capsys, "surface", "--l", l, "--m", m, "--profile", profile, "--action", "forms")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------ input ranges

@@ -408,6 +408,16 @@ CLASS_PARAMS = {
 }
 
 
+def test_a_stop_shell_at_or_past_the_origin_is_refused():
+    # m = -1/BOUNDARY_MARGIN puts the shell at the origin and a smaller m
+    # past it; a start there would have no room, or a negative one
+    for m in (-1.0 / BOUNDARY_MARGIN, -2e9, -1e154):
+        with pytest.raises(DomainError, match="stop shell .* at or past the origin"):
+            integrate_geodesic(MetricParams(1.0, m), state(0, 0, 0, 1e-9, 0.0, 1.0), 1.0)
+    traj = integrate_geodesic(MetricParams(1.0, -0.9e9), state(0, 0, 0, 1e-9, 0.0, 1.0), 1.0)
+    assert traj.states[0, 2] == 0.0
+
+
 @pytest.mark.parametrize("cls", list(SpaceClass))
 def test_annotate_states_matches_the_row_oracle(cls):
     # the knots and dense rows of three geodesics, one of them from off the

@@ -126,6 +126,36 @@ def test_room_locates_a_stage_exit_by_the_euler_secant():
         assert evals[1] < evals[0] / 2, evals
 
 
+def test_the_secant_takes_its_cap_unless_the_room_turns_negative():
+    # one rule for both retries: the capped secant where r_out < 0 < r, the
+    # cap where the room does not change sign (nan included)
+    aim = _rk._SECANT_AIM
+    assert _rk._secant(1.0, -3.0, 0.5) == aim / 4.0
+    assert _rk._secant(1.0, -3.0, 0.25) == aim / 4.0
+    assert _rk._secant(1.0, -1.0, 0.5) == aim / 2.0
+    assert _rk._secant(1.0, -1.0, 0.25) == 0.25
+    for r, r_out in ((1.0, 0.0), (1.0, -0.0), (1.0, 2.0), (1.0, math.nan), (0.0, -1.0), (-1.0, -2.0),
+                     (math.nan, -1.0)):
+        for cap in (0.25, 0.5):
+            assert _rk._secant(r, r_out, cap) == cap, (r, r_out, cap)
+
+
+def test_a_start_with_no_room_is_inside_for_both_flows():
+    # solve's one rule is room(y) >= 0: a geodesic from the chart bound,
+    # where CHART_BOUND - 1e6 = 0, and a surface geodesic from the margin's
+    # edge both run
+    s0 = GeodesicState(Point3(1e6, 0.0, 0.0), (-1.0, 0.0, 0.0))
+    traj = integrate_geodesic(MetricParams(0.0, 0.0), s0, 1.0)
+    assert traj.exit_reason == "complete"
+    assert traj.states[-1, 0] == pytest.approx(1e6 - 1.0, abs=1e-6)
+    params = MetricParams(0.5, 0.3)
+    prof = random_profile(params, np.random.default_rng(7))
+    lo, hi = prof.u_domain
+    u0 = lo + 2e-6 * (hi - lo)
+    traj = surface_geodesic_integrate(params, prof, SurfaceGeodesicState(u0, 0.0, 1.0, 0.5), 0.5)
+    assert traj.states[0, 0] == u0 and traj.ts[-1] > 0.0
+
+
 def test_guard_error_of_another_type_propagates():
     def rhs(y):
         if y[0] >= 0.5:
