@@ -388,9 +388,11 @@ def hermite_sample(ts, ys, fs, t_query) -> np.ndarray:
         out = np.broadcast_to(ys[0], (len(tq),) + ys[0].shape).copy()
         return out if np.ndim(t_query) else out[0]
     tq = np.clip(tq, ts[0], ts[-1])
-    # the intervals queried, and each query's place among them
-    i, pos = np.unique(np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, n - 2),
-                       return_inverse=True)
+    # each query's last knot at or before it, and the interval it lies in;
+    # the Newton coefficients are built for every interval i
+    at = np.searchsorted(ts, tq, side="right") - 1
+    pos = np.minimum(at, n - 2)
+    i = np.arange(n - 1)
     # the outer knots of interval i: the first two usable of i-1, i+2, i-2
     # and i+3, where a knot is usable if it exists and no short step lies
     # between it and the interval
@@ -420,7 +422,6 @@ def hermite_sample(ts, ys, fs, t_query) -> np.ndarray:
     out = c[7]
     for k in range(6, -1, -1):
         out = c[k] + dt[k // 2][:, None] * out
-    at = np.searchsorted(ts, tq)
     hit = ts[at] == tq
     out[hit] = ys[at[hit]]
     return out if np.ndim(t_query) else out[0]

@@ -104,7 +104,7 @@ def _curvature(rng: np.random.Generator, i: int):
 def _frobenius(rng: np.random.Generator, i: int):
     params = random_params(rng)
     p = random_point(params, rng)
-    return ("frobenius-scalar", abs(frobenius_scalar(params, (p.x, p.y, p.z)) - params.l), 1e-8,
+    return ("frobenius-scalar", abs(frobenius_scalar(params, p) - params.l), 1e-8,
             {"l": params.l, "m": params.m, "point": [p.x, p.y, p.z]})
 
 

@@ -131,14 +131,14 @@ def _print_rows(header: str, rows) -> None:
     print("\n".join([header, *(",".join(map(repr, row)) for row in rows.tolist())]))
 
 
-def _shell_exit_time(params: MetricParams, closed, ts, pos):
-    """For m < 0, the time at which the closed form reaches the stop shell of
-    `stop_shell_rho2`, where the numeric path stops, bisected between the
-    first sample at or beyond it and the sample before; the returned time
-    is the last one found inside.  None if no sample reaches the shell."""
-    if params.m >= 0.0:
+def _shell_exit_time(closed, rho2_stop, ts, pos):
+    """The time at which the closed form reaches the stop shell x^2+y^2 =
+    rho2_stop of `stop_shell_rho2`, where the numeric path stops, bisected
+    between the first sample at or beyond it and the sample before; the
+    returned time is the last one found inside.  None if no sample reaches
+    the shell, or if there is none (rho2_stop None, for m >= 0)."""
+    if rho2_stop is None:
         return None
-    rho2_stop = stop_shell_rho2(params)
     beyond = np.flatnonzero(pos[:, 0] ** 2 + pos[:, 1] ** 2 >= rho2_stop)
     if beyond.size == 0:
         return None
@@ -170,9 +170,10 @@ def cmd_geodesic(args) -> int:
         closed = closed_form_geodesic(params, tuple(v0))
 
     if args.method == "closed":
+        rho2_stop = stop_shell_rho2(params) if params.m < 0.0 else None
         ts = np.linspace(0.0, args.t_max, args.samples)
         pos = closed.position(ts)
-        t_stop = _shell_exit_time(params, closed, ts, pos)
+        t_stop = _shell_exit_time(closed, rho2_stop, ts, pos)
         if t_stop is not None:
             ts = np.linspace(0.0, t_stop, args.samples)
             pos = closed.position(ts)

@@ -29,7 +29,6 @@ from .space import (
     MetricParams,
     Point3,
     _is_rows,
-    _xyz,
     frame,
     metric_tensor,
     require_in_domain,
@@ -108,8 +107,7 @@ def christoffel(params: MetricParams, p) -> np.ndarray:
     computed once, so the table is symmetric in (i, j) bit for bit.  An
     acceleration that overflows raises FloatingPointError.
     """
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
+    x, y, _ = require_in_domain(params, p)
     l, m = float(params.l), float(params.m)
     # A at e_i, then at e_i + e_j, for each pair (i, j)
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -125,17 +123,15 @@ def christoffel(params: MetricParams, p) -> np.ndarray:
 def state_speed(params: MetricParams, point, velocity):
     """Metric norm |v|_g of a velocity at a point.
 
-    point and velocity are one point and one vector, for a float, or (n, 3)
-    arrays of points and velocities, for an (n,) array: one `metric_tensor`
-    call and one stacked v g v product serve every row, and each entry is the
-    one-point call's, bit for bit.
+    point and velocity are (n, 3) arrays of points and velocities, for an
+    (n,) array, or one point and one vector, which is one row, for a float:
+    one `metric_tensor` call and one stacked v g v contraction serve both.
     """
     g = metric_tensor(params, point)
     v = np.asarray(velocity, dtype=float)
-    if _is_rows(point):
-        sq = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
-        return np.sqrt(np.where(sq < 0.0, 0.0, sq))  # max(sq, 0.0), elementwise
-    return math.sqrt(max(float(v @ g @ v), 0.0))
+    sq = (v[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+    speed = np.sqrt(np.where(sq < 0.0, 0.0, sq))  # max(sq, 0.0), elementwise
+    return speed if _is_rows(point) else float(speed)
 
 
 @dataclass(frozen=True)
@@ -199,9 +195,12 @@ def annotate_states(params: MetricParams, states) -> tuple[np.ndarray, np.ndarra
 
 def stop_shell_rho2(params: MetricParams) -> float:
     """rho^2 = -1/m - BOUNDARY_MARGIN of the m < 0 stop shell, where geodesic
-    runs end; for m <= -1/BOUNDARY_MARGIN it is not positive, and the shell
-    lies at or past the origin."""
-    return -1.0 / params.m - BOUNDARY_MARGIN
+    runs end.  For m <= -1/BOUNDARY_MARGIN it is not positive: the shell lies
+    at or past the origin, and DomainError is raised."""
+    rho2 = -1.0 / params.m - BOUNDARY_MARGIN
+    if not rho2 > 0.0:
+        raise DomainError(f"the stop shell x^2+y^2 = {rho2!r} of m = {params.m!r} is at or past the origin")
+    return rho2
 
 
 def integrate_geodesic(
@@ -227,11 +226,8 @@ def integrate_geodesic(
 
     # the signed room to the domain's edge: the stop shell, or the chart bound
     if m < 0.0:
-        rho2_stop = stop_shell_rho2(params)
-        if not rho2_stop > 0.0:
-            raise DomainError(f"the stop shell x^2+y^2 = {rho2_stop!r} of m = {m!r} is at or past the origin")
 
-        def room(y6, _lim=rho2_stop):
+        def room(y6, _lim=stop_shell_rho2(params)):
             return _lim - (y6[0] * y6[0] + y6[1] * y6[1])
 
     else:

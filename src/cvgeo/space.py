@@ -13,7 +13,12 @@ Coordinates are global Cartesian (x, y, z).  For m >= 0 the underlying
 manifold is all of R^3; for m < 0 it is the open solid cylinder
 x^2 + y^2 < -1/m, on whose boundary the metric degenerates.
 
-Everything in this module is a pure function of its arguments.
+Everything in this module is a pure function of its arguments.  The metric
+is stated once: `_metric_scalars` gives D and the coframe coefficients
+alpha, beta at one point or at arrays of points, and the metric tensor, the
+frame, the Killing fields and the first integrals read them.
+`require_in_domain` returns a point's float coordinates once its disk test
+passes; `_rows_in_domain` is the same test on arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ __all__ = [
     "Frame",
     "SpaceClass",
     "classify",
-    "in_domain",
     "require_in_domain",
     "metric_tensor",
     "frame",
@@ -103,16 +107,18 @@ def _xyz(p) -> tuple[float, float, float]:
     return float(x), float(y), float(z)
 
 
-def in_domain(params: MetricParams, p) -> bool:
-    if params.m >= 0.0:
-        return True
-    x, y, _ = _xyz(p)
-    return x * x + y * y < -1.0 / params.m
+def require_in_domain(params: MetricParams, p) -> tuple[float, float, float]:
+    """The float coordinates (x, y, z) of the point p, a Point3 or a length-3
+    sequence; raises DomainError where it lies outside the m < 0 disk."""
+    x, y, z = _xyz(p)
+    _point_in_domain(params, x, y)
+    return x, y, z
 
 
-def require_in_domain(params: MetricParams, p) -> None:
-    if not in_domain(params, p):
-        x, y, _ = _xyz(p)
+def _point_in_domain(params: MetricParams, x: float, y: float) -> None:
+    """The disk test of one point on Python floats, where an overflowing
+    x^2 + y^2 reads inf rather than a numpy overflow."""
+    if params.m < 0.0 and not x * x + y * y < -1.0 / params.m:
         raise _outside_disk(params, x * x + y * y)
 
 
@@ -168,32 +174,24 @@ def metric_tensor(params: MetricParams, p) -> np.ndarray:
     """Coordinate components g_ij at p (symmetric positive definite 3x3).
 
     p is one point, or an (..., 3) array of points for an (..., 3, 3)
-    result whose entries are those of the one-point calls, bit for bit.
+    result; both fill the entries from `_metric_scalars` by one body, so a
+    row's entries are the one-point call's, bit for bit.
     """
     if _is_rows(p):
         x, y = p[..., 0], p[..., 1]
         _rows_in_domain(params, x, y)
-        D, al, be = _metric_scalars(params, x, y)
-        q = 1.0 / (D * D)
-        g = np.empty(p.shape[:-1] + (3, 3))
-        g[..., 0, 0] = q + al * al
-        g[..., 1, 1] = q + be * be
-        g[..., 2, 2] = 1.0
-        g[..., 0, 1] = g[..., 1, 0] = al * be
-        g[..., 0, 2] = g[..., 2, 0] = al
-        g[..., 1, 2] = g[..., 2, 1] = be
-        return g
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
+    else:
+        x, y, _ = require_in_domain(params, p)
     D, al, be = _metric_scalars(params, x, y)
     q = 1.0 / (D * D)
-    return np.array(
-        [
-            [q + al * al, al * be, al],
-            [al * be, q + be * be, be],
-            [al, be, 1.0],
-        ]
-    )
+    g = np.empty(np.shape(x) + (3, 3))
+    g[..., 0, 0] = q + al * al
+    g[..., 1, 1] = q + be * be
+    g[..., 2, 2] = 1.0
+    g[..., 0, 1] = g[..., 1, 0] = al * be
+    g[..., 0, 2] = g[..., 2, 0] = al
+    g[..., 1, 2] = g[..., 2, 1] = be
+    return g
 
 
 def frame(params: MetricParams, p) -> Frame:
@@ -201,12 +199,10 @@ def frame(params: MetricParams, p) -> Frame:
 
     E1 = D d/dx - (l/2) y d/dz,  E2 = D d/dy + (l/2) x d/dz,  E3 = d/dz.
     """
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
-    l = params.l
-    D = 1.0 + params.m * (x * x + y * y)
+    x, y, _ = require_in_domain(params, p)
+    D = _metric_scalars(params, x, y)[0]
     return Frame(
-        e1=np.array([D, 0.0, -0.5 * l * y]),
-        e2=np.array([0.0, D, 0.5 * l * x]),
+        e1=np.array([D, 0.0, -0.5 * params.l * y]),
+        e2=np.array([0.0, D, 0.5 * params.l * x]),
         e3=np.array([0.0, 0.0, 1.0]),
     )

@@ -38,6 +38,7 @@ from .space import (
     DomainError,
     MetricParams,
     _metric_scalars,
+    _point_in_domain,
     _rows_in_domain,
     metric_tensor,
     require_in_domain,
@@ -264,8 +265,7 @@ def frobenius_scalar(params: MetricParams, p=None) -> float:
         else:
             s = 0.5
         p = (0.617 * s, -0.459 * s, 0.2)
-    require_in_domain(params, p)
-    x, y, _ = (float(c) for c in p)
+    x, y, _ = require_in_domain(params, p)
     h = 1e-6
     dx_beta = (_metric_scalars(params, x + h, y)[2] - _metric_scalars(params, x - h, y)[2]) / (2.0 * h)
     dy_alpha = (_metric_scalars(params, x, y + h)[1] - _metric_scalars(params, x, y - h)[1]) / (2.0 * h)
@@ -288,7 +288,7 @@ def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4) -> tuple:
     if not profile.contains(u):
         raise DomainError(f"u = {u!r} outside the profile domain")
     fv = profile.f(u)
-    require_in_domain(params, (fv, 0.0, 0.0))  # the disk bounds the radius only
+    _point_in_domain(params, fv, 0.0)  # the disk bounds the radius only
     fpv, fppv, gpv, gppv = profile.fp(u), profile.fpp(u), profile.gp(u), profile.gpp(u)
     e0, f0, g0 = _form_coefficients(params, fv, fpv, gpv)
     # exact u derivatives, with d = 1 + m f^2 and d' = 2 m f f'

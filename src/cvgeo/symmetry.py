@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .connection import GeodesicState, christoffel
-from .space import MetricParams, _xyz, metric_tensor, require_in_domain
+from .space import MetricParams, _metric_scalars, _xyz, metric_tensor, require_in_domain
 
 __all__ = [
     "KILLING_NAMES",
@@ -39,14 +39,12 @@ KILLING_NAMES = ("X", "Y", "Z", "R")
 
 def killing_eval(params: MetricParams, which: str, p) -> np.ndarray:
     """Coordinate components of the named Killing field at p."""
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
+    x, y, _ = require_in_domain(params, p)
     l, m = params.l, params.m
+    d = _metric_scalars(params, x, y)[0]
     if which == "X":
-        d = 1.0 + m * (x * x + y * y)
         return np.array([2.0 * m * x * y, d - 2.0 * m * x * x, -0.5 * l * x])
     if which == "Y":
-        d = 1.0 + m * (x * x + y * y)
         return np.array([d - 2.0 * m * y * y, 2.0 * m * x * y, 0.5 * l * y])
     if which == "Z":
         return np.array([0.0, 0.0, 1.0])
@@ -94,14 +92,10 @@ def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
     g v = (vx/D^2 + alpha w3, vy/D^2 + beta w3, w3) with w3 = omega^3(v),
     and each field is paired with it inline.
     """
-    p = state.point
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
+    x, y, _ = require_in_domain(params, state.point)
     vx, vy, vz = map(float, state.velocity)
     l, m = params.l, params.m
-    D = 1.0 + m * (x * x + y * y)
-    al = 0.5 * l * y / D
-    be = -0.5 * l * x / D
+    D, al, be = _metric_scalars(params, x, y)
     w3 = al * vx + be * vy + vz
     q = 1.0 / (D * D)
     gx = q * vx + al * w3

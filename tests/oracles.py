@@ -22,8 +22,8 @@ the exact second derivatives of the embedding from f'' and g'', and
 `meridian_profile_ode_residual` is
 the radius equation of the profiles whose meridians are geodesics,
 against which `cvgeo.surfaces.meridian_is_geodesic` is checked.  `annotate_rows` is
-the row-at-a-time annotation, one `first_integrals` and one one-point
-`state_speed` call per row, against which the array speeds of
+the row-at-a-time annotation, one `first_integrals` call and the norm of
+the coframe on Python floats per row, against which the array speeds of
 `cvgeo.connection.annotate_states` are checked.  `rk45_matrix` is the
 embedded Runge-Kutta stepper with the stages as rows of one (s, d) array,
 each stage state one matrix product, and the DOP853 coefficients taken
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from cvgeo import _rk
-from cvgeo.connection import GeodesicState, christoffel, integrate_geodesic, state_speed
+from cvgeo.connection import GeodesicState, christoffel, integrate_geodesic
 from cvgeo.profiles import RevolutionProfile
 from cvgeo.space import (
     DomainError,
@@ -58,15 +58,13 @@ from cvgeo.symmetry import KILLING_NAMES, first_integrals, killing_eval
 
 def conformal_factor(params: MetricParams, p) -> float:
     """D = 1 + m (x^2 + y^2); strictly positive on the domain."""
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
+    x, y, _ = require_in_domain(params, p)
     return 1.0 + params.m * (x * x + y * y)
 
 
 def coframe_values(params: MetricParams, p, v) -> np.ndarray:
     """(omega^1(v), omega^2(v), omega^3(v)) for a coordinate vector v."""
-    require_in_domain(params, p)
-    x, y, _ = _xyz(p)
+    x, y, _ = require_in_domain(params, p)
     vx, vy, vz = (float(c) for c in v)
     D, al, be = _metric_scalars(params, x, y)
     return np.array([vx / D, vy / D, al * vx + be * vy + vz])
@@ -236,15 +234,19 @@ def killing_pairings(params: MetricParams, state) -> np.ndarray:
 
 def annotate_rows(params: MetricParams, states) -> tuple[np.ndarray, np.ndarray]:
     """Killing pairings (n, 4) and speeds (n,) of (x, y, z, vx, vy, vz) rows,
-    one row at a time; the oracle of `cvgeo.connection.annotate_states`."""
+    one row at a time; the oracle of `cvgeo.connection.annotate_states`.
+    The speed is the norm of the coframe, on Python floats:
+    sqrt((vx^2 + vy^2)/D^2 + w3^2) with w3 = omega^3(v) = alpha vx + beta vy + vz,
+    alpha = l y/(2D) and beta = -l x/(2D)."""
     n = len(states)
     integrals = np.empty((n, 4))
     speeds = np.empty(n)
-    for i in range(n):
-        pt = states[i, :3]
-        vel = states[i, 3:]
-        integrals[i] = first_integrals(params, GeodesicState(Point3(*pt), vel))
-        speeds[i] = state_speed(params, pt, vel)
+    half_l = 0.5 * params.l
+    for i, (x, y, z, vx, vy, vz) in enumerate(states.tolist()):
+        integrals[i] = first_integrals(params, GeodesicState(Point3(x, y, z), (vx, vy, vz)))
+        D = conformal_factor(params, (x, y, z))
+        w3 = half_l * y / D * vx - half_l * x / D * vy + vz
+        speeds[i] = math.sqrt((vx * vx + vy * vy) / (D * D) + w3 * w3)
     return integrals, speeds
 
 
@@ -276,8 +278,7 @@ def curvature_fd(params: MetricParams, p) -> np.ndarray:
     z, so the z derivative is zero).  Its truncation error grows like
     (1e-4 / r)^4 with r the distance to the m < 0 disk boundary.
     """
-    require_in_domain(params, p)
-    x, y, z = _xyz(p)
+    x, y, z = require_in_domain(params, p)
     gam = christoffel(params, p)
     h = 1e-4
 

@@ -114,17 +114,27 @@ def test_geodesic_closed_stops_at_the_shell_for_m_negative(capsys):
     assert np.all(rows[:, 1] ** 2 + rows[:, 2] ** 2 < -1.0 / m - BOUNDARY_MARGIN)
 
 
-@pytest.mark.parametrize("method", ["numeric", "both"])
-def test_geodesic_refuses_a_stop_shell_past_the_origin(capsys, method):
+SHELL_PAST_ORIGIN = ("--l", "1", "--m=-1.5e9", "--u", "1e-9", "--v", "0", "--w", "1", "--t-max", "1", "--samples", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(((*SHELL_PAST_ORIGIN, "--method", method),
+           "the stop shell x^2+y^2 = -3.333333333333334e-10 of m = -1500000000.0 is at or past the origin")
+          for method in ("numeric", "both", "closed")),
+        (("--l=5e-324", "--m=-1e154", "--u=1", "--v=-1", "--w=-1e300", "--method", "closed",
+          "--t-max", "1", "--samples", "21"),
+         "the stop shell x^2+y^2 = -1e-09 of m = -1e+154 is at or past the origin"),
+    ],
+    ids=["numeric", "both", "closed", "closed-m-1e154"],
+)
+def test_geodesic_refuses_a_stop_shell_past_the_origin(capsys, argv, message):
     # for m <= -1/BOUNDARY_MARGIN the shell -1/m - BOUNDARY_MARGIN is not
-    # positive: the numeric path refuses m, naming the stop shell
-    code, out, err = run_cli(
-        capsys, "geodesic", "--l", "1", "--m=-1.5e9", "--u", "1e-9", "--v", "0", "--w", "1",
-        "--t-max", "1", "--samples", "3", "--method", method,
-    )
+    # positive: every method refuses m, naming the stop shell in plain floats
+    code, out, err = run_cli(capsys, "geodesic", *argv)
     assert (code, out) == (65, "")
-    assert err == ("geodesic: the stop shell x^2+y^2 = -3.333333333333334e-10 of m = -1500000000.0 "
-                   "is at or past the origin\n")
+    assert err == f"geodesic: {message}\n"
 
 
 def test_geodesic_closed_inside_the_shell_is_unchanged(capsys):
@@ -571,9 +581,8 @@ def test_surface_forms_output_is_golden(capsys, profile):
         (("surface", "--l", "1", "--m", "0.5", "--profile", "cone", "--u-min", "0.2", "--u-max", "2",
           "--su", "1", "--sdu", "1e200", "--action", "geodesic"),
          "surface: input out of range: overflow encountered in the surface rhs"),
-        (("geodesic", "--l=5e-324", "--m=-1e154", "--u=1", "--v=-1", "--w=-1e300", "--method", "closed",
-          "--t-max", "1", "--samples", "21"),
-         "geodesic: point with x^2+y^2 = 1e-154 outside the disk x^2+y^2 < 1e-154 (m = -1e+154)"),
+        (("geodesic", "--l", "1", "--m", "-1", "--u", "1", "--v", "0", "--w", "0", "--x0", "1e200"),
+         "geodesic: point with x^2+y^2 = inf outside the disk x^2+y^2 < 1.0 (m = -1.0)"),
         # no Python-float ** runs on this path: the numeric run's rhs overflows
         (("geodesic", "--l=1e300", "--m=1", "--u=1", "--v=-0.5", "--w=-1.3", "--t-max=1", "--samples=21",
           "--method=both"),
