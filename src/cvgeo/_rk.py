@@ -238,20 +238,22 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
     keep both uncopied until the run ends.  `room(y) -> float` is the
     signed distance to the edge of the domain, and guard(y) -> bool marks
     the states that are still acceptable, with guard(y) false wherever
-    room(y) < 0 (`solve` passes room(y) >= 0).  A step landing on a
-    rejected state is retried with a smaller h, and if h underflows near
-    the obstruction the partial solution is returned with exit reason
-    "domain-exit".  `guard_error` is the exception type the rhs may raise
-    for out-of-domain stage evaluations; it is handled the same way.
-    `pair` is the embedded pair that makes each attempt (`FEHLBERG45` or
+    room(y) < 0 (`solve` passes room(y) >= 0).  `guard_error` is the
+    exception type the rhs raises for a state outside the domain.  `pair`
+    is the embedded pair that makes each attempt (`FEHLBERG45` or
     `DOP853`).
 
-    Both kinds of rejection are retried at the `_secant` of the room, just
-    short of where it vanishes (Shampine and Thompson, Event location for
-    ordinary differential equations, 2000): a landing y_new at most h / 2,
-    and an attempt whose stage leaves the domain toward the Euler state
-    y + h rhs(y) at most h / 4; where y_new or that state has no negative
-    room, the retry takes the cap.
+    One rule handles both kinds of guard rejection, a stage outside the
+    domain and a landing y_new that fails the guard or whose rhs raises:
+    it spends one of GUARD_BUDGET rejections and retries at the `_secant`
+    of the room, just short of where it vanishes (Shampine and Thompson,
+    Event location for ordinary differential equations, 2000), toward the
+    Euler state y + h rhs(y) at most h / 4 for a stage and toward y_new at
+    most h / 2 for a landing; where that state has no negative room, the
+    retry takes the cap.  The run returns its partial solution with exit
+    reason "domain-exit" once the budget is spent or h falls below
+    1e-13 max(1, |t|) at a rejection.  An accepted step grows h by the
+    error-based factor, capped at max(t_max / 8, 1e-8).
 
     Returns (ts, ys, fs, exit_reason) with the accepted knots as arrays and
     the rhs values there; exit_reason is "complete" or "domain-exit".
@@ -275,13 +277,8 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
     h_max = max(t_max / 8.0, 1e-8)
     h = min(1e-2, t_max / 100.0, h_max)
 
-    # While the guard keeps rejecting, h must not regrow, or the run creeps
-    # forever toward an asymptotic obstruction; a clean acceptance (no
-    # rejection since the previous accepted step) lifts the suppression so
-    # paths that merely graze the boundary recover full step sizes.  A hard
-    # budget of rejections ends runs whose state advances only at float
-    # resolution against the obstruction (boundary-asymptotic geodesics).
-    guard_hit = False
+    # A budget of guard rejections ends runs whose state advances only at
+    # float resolution against the edge (boundary-asymptotic geodesics).
     guard_budget = GUARD_BUDGET
     for _ in range(MAX_EVALS // pair.stages):
         if t >= t_max - 1e-14 * max(1.0, t_max):
@@ -295,50 +292,38 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
         try:
             y_new, err_norm = attempt(y, k0, h)
         except guard_error:
-            # a stage left the domain: a guard rejection that shrinks h to
-            # the secant of the room toward the Euler state y + h k0
-            guard_hit = True
-            guard_budget -= 1
-            if guard_budget <= 0:
-                return result("domain-exit")
-            h *= _secant(room(y), room([yj + h * fj for yj, fj in zip(y, k0)]), 0.25)
-            continue
-
-        if err_norm <= 1.0:
-            rejected = not guard(y_new)
-            if not rejected:
-                try:
-                    f_new = rhs(y_new)
-                except guard_error:
-                    rejected = True
-            if rejected:
-                guard_hit = True
-                guard_budget -= 1
-                if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
-                    return result("domain-exit")
-                h *= _secant(room(y), room(y_new), 0.5)
-                continue
-            t += h
-            y = y_new
-            k0 = f_new
-            ts.append(t)
-            ys.append(y)
-            fs.append(k0)
-            if guard_hit:
-                # accepted while skirting the guard: hold h steady and
-                # lift the suppression only after a clean acceptance
-                guard_hit = False
-                h = min(h, h_max)
+            # a stage left the domain: retry toward the Euler state y + h k0
+            target, cap = [yj + h * fj for yj, fj in zip(y, k0)], 0.25
+        else:
+            if not math.isfinite(err_norm):
+                h *= 0.25
                 continue
             if err_norm == 0.0:
                 factor = _MAX_FACTOR
             else:
                 factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm ** exponent))
-            h = min(h * factor, h_max)
-        elif not math.isfinite(err_norm):
-            h *= 0.25
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** exponent)
+            if err_norm > 1.0:
+                h *= factor
+                continue
+            try:
+                f_new = rhs(y_new) if guard(y_new) else None
+            except guard_error:
+                f_new = None
+            if f_new is not None:
+                t += h
+                y = y_new
+                k0 = f_new
+                ts.append(t)
+                ys.append(y)
+                fs.append(k0)
+                h = min(h * factor, h_max)
+                continue
+            # the landing is rejected: retry toward it
+            target, cap = y_new, 0.5
+        guard_budget -= 1
+        if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)):
+            return result("domain-exit")
+        h *= _secant(room(y), room(target), cap)
     raise IntegrationError(f"step budget exhausted at t = {t!r} < t_max = {t_max!r}")
 
 

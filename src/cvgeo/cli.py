@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 audit failure, closed/numeric mismatch or a
 closed output pipe, 3 domain-exit partial result (for --method closed:
 the closed form reached the m < 0 stop shell), 64 usage error,
-65 invalid input.  Float flags take finite numbers only and --grid an
-integer in [1, 1000000]; --samples must be in [2, 1000000], --count
-must not exceed 1000000 and --seed must not be negative (else 65).
-Inputs that the library rejects are invalid (65): values outside a
-profile or the m < 0 disk, a profile domain without u-min < u-max,
+65 invalid input.  A float flag that is not a finite number and a --grid
+that is not an integer in [1, 1000000] are usage errors (64).
+--samples must be in [2, 1000000], --count in [1, 1000000] and --seed
+must not be negative (else 65).  Inputs that the library rejects are
+invalid (65): values outside a profile or the m < 0 disk, a start past
+the integration domain's edge, a profile domain without u-min < u-max,
 values whose evaluation overflows or whose output is not finite, and
 integrations whose step underflows or that exhaust their step budget;
 each prints one line to stderr.  The environment variable CVGEO_TOL

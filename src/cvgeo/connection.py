@@ -216,9 +216,10 @@ def integrate_geodesic(
     (degree-7 Hermite dense output); otherwise the accepted integration steps
     are returned.  The run stops with exit_reason "domain-exit" where its
     room runs out: for m < 0 at `stop_shell_rho2`, and otherwise at
-    CHART_BOUND.  A shell at or past the origin raises DomainError.
+    CHART_BOUND.  A shell at or past the origin, or a start past the edge,
+    raises DomainError.
     """
-    require_in_domain(params, s0.point)
+    x, y, z = require_in_domain(params, s0.point)
     l, m = float(params.l), float(params.m)  # the rhs runs on Python floats
 
     def rhs(y6):
@@ -235,8 +236,15 @@ def integrate_geodesic(
         def room(y6):
             return CHART_BOUND - max(abs(y6[0]), abs(y6[1]), abs(y6[2]))
 
+    y0 = s0.as_array()
+    if not room(y0) >= 0.0:
+        if m < 0.0:
+            edge = f"x^2+y^2 = {x * x + y * y!r} past the stop shell x^2+y^2 = {stop_shell_rho2(params)!r}"
+        else:
+            edge = f"(x, y, z) = ({x!r}, {y!r}, {z!r}) past the chart bound max(|x|, |y|, |z|) = {CHART_BOUND!r}"
+        raise DomainError(f"start point with {edge} (m = {m!r})")
     t_out, y_out, (ts, ys, fs), exit_reason = _rk.solve(
-        rhs, s0.as_array(), t_max, tol, pair=_rk.DOP853, room=room, samples=samples
+        rhs, y0, t_max, tol, pair=_rk.DOP853, room=room, samples=samples
     )
     integrals, speeds = annotate_states(params, y_out)
     return Trajectory(

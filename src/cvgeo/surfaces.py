@@ -354,8 +354,12 @@ def surface_geodesic_integrate(
     def room(y4):
         return min(y4[0] - u_lo, u_hi - y4[0])
 
+    y0 = s0.as_array()
+    if not room(y0) >= 0.0:
+        raise ValueError(f"u0 = {s0.u!r} outside the integration domain [{u_lo!r}, {u_hi!r}], "
+                         "the profile domain less 2e-6 of its length at each end")
     t_out, y_out, _, exit_reason = _rk.solve(
-        rhs, s0.as_array(), t_max, tol, pair=_rk.FEHLBERG45, room=room, samples=samples
+        rhs, y0, t_max, tol, pair=_rk.FEHLBERG45, room=room, samples=samples
     )
     e0, f0, g0 = _form_coefficients(
         params, *_profile_values(y_out[:, 0], profile.f, profile.fp, profile.gp)

@@ -501,7 +501,6 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, 
     h = min(1e-2, t_max / 100.0, h_max)
     k = np.empty((len(b), len(y)))
     k[0] = f
-    guard_hit = False
     guard_budget = _rk.GUARD_BUDGET
     for _ in range(_rk.MAX_EVALS // pair.stages):
         if t >= t_max - 1e-14 * max(1.0, t_max):
@@ -517,48 +516,37 @@ def rk45_matrix(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair, 
             for i in range(1, len(b)):
                 k[i] = rhs((y + ha[i, :i] @ k[:i]).tolist())
         except guard_error:
-            guard_hit = True
-            guard_budget -= 1
-            if guard_budget <= 0:
-                return result("domain-exit")
-            h *= _rk._secant(room(y.tolist()), room((y + h * f).tolist()), 0.25)
-            continue
-
-        y_new = y + (h * b) @ k
-        err_norm = error_norm(k, h, tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-
-        if err_norm <= 1.0:
-            rejected = not guard(y_new)
-            if not rejected:
-                try:
-                    f_new = np.asarray(rhs(y_new.tolist()), dtype=float)
-                except guard_error:
-                    rejected = True
-            if rejected:
-                guard_hit = True
-                guard_budget -= 1
-                if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)) or h <= 1e-15:
-                    return result("domain-exit")
-                h *= _rk._secant(room(y.tolist()), room(y_new.tolist()), 0.5)
-                continue
-            t += h
-            y = y_new
-            f = f_new
-            k[0] = f
-            ts.append(t)
-            ys.append(y)
-            fs.append(f)
-            if guard_hit:
-                guard_hit = False
-                h = min(h, h_max)
+            target, cap = y + h * f, 0.25
+        else:
+            y_new = y + (h * b) @ k
+            err_norm = error_norm(k, h, tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+            if not np.isfinite(err_norm):
+                h *= 0.25
                 continue
             if err_norm == 0.0:
                 factor = _rk._MAX_FACTOR
             else:
                 factor = min(_rk._MAX_FACTOR, max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** exponent))
-            h = min(h * factor, h_max)
-        elif not np.isfinite(err_norm):
-            h *= 0.25
-        else:
-            h *= max(_rk._MIN_FACTOR, _rk._SAFETY * err_norm ** exponent)
+            if err_norm > 1.0:
+                h *= factor
+                continue
+            try:
+                f_new = np.asarray(rhs(y_new.tolist()), dtype=float) if guard(y_new) else None
+            except guard_error:
+                f_new = None
+            if f_new is not None:
+                t += h
+                y = y_new
+                f = f_new
+                k[0] = f
+                ts.append(t)
+                ys.append(y)
+                fs.append(f)
+                h = min(h * factor, h_max)
+                continue
+            target, cap = y_new, 0.5
+        guard_budget -= 1
+        if guard_budget <= 0 or h < 1e-13 * max(1.0, abs(t)):
+            return result("domain-exit")
+        h *= _rk._secant(room(y.tolist()), room(target.tolist()), cap)
     raise _rk.IntegrationError(f"step budget exhausted at t = {t!r} < t_max = {t_max!r}")

@@ -479,8 +479,8 @@ GOLDEN = {
                       "4e96c525ff4de6c25e980b7fa64d7904d228661f3eddc949ce6528d0feb85e2a",
                       "5.329070518200751e-15"),
     "ProductSphere": (("0", "0.7", "0.6", "0.3", "0.8"), 1,
-                      "3298bf770f038eea8e63fa0dcdbd22220039e6228fe8d62f86a7554085f6e948",
-                      "24.396446708939038"),
+                      "224c187301152b3c8ccde9046abccc4f20ac19b5263aa551785c585515046fe0",
+                      "24.396798879723065"),
     "ProductHyperbolic": (("0", "-0.6", "0.5", "-0.4", "0.7"), 0,
                           "7640c56d3a30205b62dd56c121fbbef1435b7e1d67b241f5bb729cfeeb3d9d50",
                           "5.566922589572698e-09"),
@@ -590,10 +590,23 @@ def test_surface_forms_output_is_golden(capsys, profile):
         (("surface", "--l=2", "--m=1e308", "--profile=slice", "--action=geodesic", "--su=0.3",
           "--sdu=-1e300", "--sdv=0.3", "--t-max=1", "--samples=21"),
          "surface: input out of range: Numerical result out of range"),
+        # starts inside the manifold but past the integration domain's edge
+        (("geodesic", "--l", "1", "--m", "-1", "--u", "1", "--v", "0", "--w", "0", "--x0", "0.99999999999"),
+         "geodesic: start point with x^2+y^2 = 0.99999999998 past the stop shell x^2+y^2 = 0.999999999 "
+         "(m = -1.0)"),
+        (("geodesic", "--l", "1", "--m", "1", "--u", "1", "--v", "0", "--w", "0", "--x0", "2e6"),
+         "geodesic: start point with (x, y, z) = (2000000.0, 0.0, 0.0) past the chart bound "
+         "max(|x|, |y|, |z|) = 1000000.0 (m = 1.0)"),
+        # tanh's domain is [0.2, 1.0], less 2e-6 of its length at each end
+        (("surface", "--l", "1", "--m", "-1", "--profile", "tanh", "--action", "geodesic", "--su", "0.2",
+          "--c", "0.3"),
+         "surface: u0 = 0.2 outside the integration domain [0.2000016, 0.9999984], "
+         "the profile domain less 2e-6 of its length at each end"),
     ],
     ids=["geodesic-samples", "surface-samples", "surface-samples-one", "audit-count", "audit-seed",
          "surface-u-order", "surface-forms-not-finite", "surface-geodesic-overflow",
-         "domain-error-plain-float", "geodesic-power-overflow", "surface-power-overflow"],
+         "domain-error-plain-float", "geodesic-power-overflow", "surface-power-overflow",
+         "geodesic-start-past-stop-shell", "geodesic-start-past-chart-bound", "surface-start-in-end-margin"],
 )
 def test_out_of_range_input_is_invalid(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -1,7 +1,9 @@
 """Each exit of the `rk45` stepper for both pairs, on one-dimensional
 problems, the stepper against its numpy-stage oracle on geodesics and
-surface geodesics, and the Hermite dense output."""
+surface geodesics, the knots of the seeded `ensemble` geodesics, and the
+Hermite dense output."""
 
+import hashlib
 import itertools
 import math
 
@@ -465,6 +467,25 @@ def test_float_stages_match_the_matrix_oracle(monkeypatch, bench_workloads):
     assert complete > len(geodesics)  # some surface runs complete too
 
 
+# sha256 over ts, states and integrals of the 600 seed-1 `ensemble`
+# trajectories, in input order.  Their knots are Python-float arithmetic in
+# a fixed order, but the step factor goes through libm's pow, so another
+# libm may change them.  The speeds go through the stacked v g v matmul of
+# `state_speed` and so round as the BLAS kernel does; they are left out.
+ENSEMBLE_KNOT_DIGEST = "6a957beb5c326b8a82f8840b42dd8d461aef9ad57728a906be4f5059c07a25c8"
+
+
+def test_ensemble_knots_are_golden(bench_workloads):
+    digest = hashlib.sha256()
+    for inp in itertools.chain.from_iterable(itertools.islice(bench_workloads.ensemble_cycles(1), 100)):
+        s0 = GeodesicState(Point3(0.0, 0.0, 0.0), np.array(inp.v0))
+        traj = integrate_geodesic(MetricParams(inp.l, inp.m), s0, inp.horizon, tol=bench_workloads.ORACLE_TOL)
+        assert traj.exit_reason == "complete"
+        for a in (traj.ts, traj.states, traj.integrals):
+            digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == ENSEMBLE_KNOT_DIGEST
+
+
 def test_a_surface_domain_exit_spends_few_evaluations_after_its_first_rejection(monkeypatch):
     # the first seed-1 surface_audit input leaves its profile domain.  The
     # run that halved h against the guard ended at t = 1.864452871179161
@@ -505,3 +526,28 @@ def test_a_surface_domain_exit_spends_few_evaluations_after_its_first_rejection(
     assert traj.exit_reason == "domain-exit"
     assert abs(traj.ts[-1] - 1.864452871179161) <= 1e-12
     assert count["after"] is not None and count["after"] <= 150, count
+
+
+def test_a_stop_shell_exit_spends_few_evaluations(monkeypatch):
+    # the first seed-1 ProductHyperbolic trace_cli input approaches the
+    # m < 0 stop shell until its guard budget runs out.  While an accepted
+    # step after a guard rejection held h instead of growing it, the run
+    # spent 5742 rhs evaluations on 242 knots to t = 8.083334695; growing h
+    # by the error factor after every acceptance spends 4926 on 174 knots to
+    # t = 8.083332920
+    params = MetricParams(0.0, -1.9782568888944283)
+    s0 = GeodesicState(Point3(0.0, 0.0, 0.0), (0.37494910095945677, 0.8645353419690653, -0.33465178047655186))
+    count = {"evals": 0}
+
+    def counting_rk45(rhs, *args, **kwargs):
+        def counted_rhs(y):
+            count["evals"] += 1
+            return rhs(y)
+
+        return rk45(counted_rhs, *args, **kwargs)
+
+    monkeypatch.setattr(_rk, "rk45", counting_rk45)
+    traj = integrate_geodesic(params, s0, 30.0)
+    assert traj.exit_reason == "domain-exit"
+    assert abs(traj.ts[-1] - 8.08333) <= 1e-5
+    assert count["evals"] <= 5000, count
