@@ -15,7 +15,6 @@ from .connection import (
     Trajectory,
     christoffel,
     integrate_geodesic,
-    sectional_curvature,
 )
 from .symmetry import first_integrals, killing_defect, killing_eval
 from .closed_forms import ClosedFormGeodesic, closed_form_geodesic, dispatch_case
@@ -35,7 +34,6 @@ __all__ = [
     "Trajectory",
     "christoffel",
     "integrate_geodesic",
-    "sectional_curvature",
     "first_integrals",
     "killing_defect",
     "killing_eval",

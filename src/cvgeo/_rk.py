@@ -330,9 +330,9 @@ def rk45(rhs, y0, t_max: float, tol: float, *, guard, guard_error, pair: Pair, r
 def solve(rhs, y0, t_max: float, tol: float, *, pair: Pair, room, samples: int | None = None):
     """`rk45` (looked up when called) on the domain room(y) >= 0, false on nan,
     with the rhs raising `DomainError` outside it: the one domain rule of
-    both integrators of this package.  Returns (t_out, y_out, (ts, ys, fs),
-    exit_reason): the knots, and with `samples` (at least 2) given, their
-    Hermite interpolant on a uniform grid of [0, ts[-1]]; otherwise the knots.
+    both integrators of this package.  Returns (t_out, y_out, exit_reason):
+    with `samples` (at least 2) given, the Hermite interpolant of the knots
+    on a uniform grid of [0, ts[-1]]; otherwise the knots.
     """
     if samples is not None and samples < 2:
         raise ValueError("samples must be at least 2")
@@ -344,9 +344,9 @@ def solve(rhs, y0, t_max: float, tol: float, *, pair: Pair, room, samples: int |
         rhs, y0, t_max, tol, guard=guard, guard_error=DomainError, pair=pair, room=room
     )
     if samples is None:
-        return ts, ys, (ts, ys, fs), exit_reason
+        return ts, ys, exit_reason
     t_out = np.linspace(0.0, ts[-1], samples)
-    return t_out, hermite_sample(ts, ys, fs, t_out), (ts, ys, fs), exit_reason
+    return t_out, hermite_sample(ts, ys, fs, t_out), exit_reason
 
 
 def hermite_sample(ts, ys, fs, t_query) -> np.ndarray:

@@ -20,15 +20,15 @@ for fixed flags and seed; floats are printed in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
+# `audit` and `surface` import their modules when they run, so that a
+# geodesic run loads only what it calls
 from ._rk import IntegrationError, StepSizeUnderflow
-from .audits import SUITES, run_suite
 from .closed_forms import closed_form_geodesic
 from .connection import (
     DEFAULT_TOL,
@@ -37,16 +37,7 @@ from .connection import (
     integrate_geodesic,
     stop_shell_rho2,
 )
-from .profiles import cone, cylinder, slice_profile, tan_profile, tanh_profile, validate_profile
 from .space import MetricParams, Point3, SpaceClass, classify
-from .surfaces import (
-    SurfaceGeodesicState,
-    default_grid,
-    meridian_is_geodesic,
-    parallel_geodesic_radii,
-    second_fundamental_form,
-    surface_geodesic_integrate,
-)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,6 +49,9 @@ EXIT_INVALID = 65
 MAX_COUNT = 1_000_000
 
 TRACE_HEADER = "t,x,y,z,vx,vy,vz,I1,I2,I3,I4,speed"
+
+# the --suite choices: the names of `audits.SUITES`
+AUDIT_SUITES = ("curvature", "frobenius", "integrals", "killing", "surfaces")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,11 +194,15 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    import json
+
+    from . import audits
+
     if not 1 <= args.count <= MAX_COUNT:
         raise ValueError(f"count must be in [1, {MAX_COUNT}]")
     if args.seed < 0:
         raise ValueError("seed must not be negative")
-    records = run_suite(args.suite, args.seed, args.count)
+    records = audits.run_suite(args.suite, args.seed, args.count)
     ok = True
     for rec in records:
         print(json.dumps(rec))
@@ -212,26 +210,32 @@ def cmd_audit(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+# the --profile choices: each builds its profile from the `cvgeo.profiles`
+# module it is given, the flags and m
 _PROFILE_BUILDERS = {
-    "cylinder": lambda args, m: cylinder(args.a, (args.u_min, args.u_max)),
-    "cone": lambda args, m: cone(args.k, (args.u_min, args.u_max)),
-    "slice": lambda args, m: slice_profile(args.z0, (args.u_min, args.u_max)),
-    "tan": lambda args, m: tan_profile(m, args.c, (args.u_min, args.u_max)),
-    "tanh": lambda args, m: tanh_profile(m, args.c, (args.u_min, args.u_max)),
+    "cylinder": lambda pr, args, m: pr.cylinder(args.a, (args.u_min, args.u_max)),
+    "cone": lambda pr, args, m: pr.cone(args.k, (args.u_min, args.u_max)),
+    "slice": lambda pr, args, m: pr.slice_profile(args.z0, (args.u_min, args.u_max)),
+    "tan": lambda pr, args, m: pr.tan_profile(m, args.c, (args.u_min, args.u_max)),
+    "tanh": lambda pr, args, m: pr.tanh_profile(m, args.c, (args.u_min, args.u_max)),
 }
 
 
 def cmd_surface(args) -> int:
+    import json
+
+    from . import profiles, surfaces
+
     params = MetricParams(args.l, args.m)
-    profile = _PROFILE_BUILDERS[args.profile](args, params.m)
-    validate_profile(params, profile)
+    profile = _PROFILE_BUILDERS[args.profile](profiles, args, params.m)
+    profiles.validate_profile(params, profile)
 
     if args.action == "forms":
-        grid = default_grid(profile, nu=args.grid, nv=8)
+        grid = surfaces.default_grid(profile, nu=args.grid, nv=8)
         # A value that overflows reaches _print_rows' check as inf or nan,
         # as it did through scalar arithmetic.
         with np.errstate(over="ignore", invalid="ignore"):
-            forms = second_fundamental_form(params, profile, grid)
+            forms = surfaces.second_fundamental_form(params, profile, grid)
         a, b = forms.first, forms.second
         _print_rows("u,v,E,F,G,B_uu,B_uv,B_vv", np.column_stack(
             [grid, a[:, 0, 0], a[:, 0, 1], a[:, 1, 1], b[:, 0, 0], b[:, 0, 1], b[:, 1, 1]]))
@@ -239,20 +243,20 @@ def cmd_surface(args) -> int:
 
     if args.action == "parallels":
         print("u0")
-        for r in parallel_geodesic_radii(params, profile, args.grid):
+        for r in surfaces.parallel_geodesic_radii(params, profile, args.grid):
             print(_fmt(r))
         return EXIT_OK
 
     if args.action == "meridians":
-        ok, dev = meridian_is_geodesic(params, profile)
+        ok, dev = surfaces.meridian_is_geodesic(params, profile)
         print(json.dumps({"geodesic": ok, "max_deviation": dev}, allow_nan=False))
         return EXIT_OK
 
     # the geodesic action
     if not 2 <= args.samples <= MAX_COUNT:
         raise ValueError(f"need 2 <= samples <= {MAX_COUNT}")
-    s0 = SurfaceGeodesicState(args.su, args.sv, args.sdu, args.sdv)
-    traj = surface_geodesic_integrate(
+    s0 = surfaces.SurfaceGeodesicState(args.su, args.sv, args.sdu, args.sdv)
+    traj = surfaces.surface_geodesic_integrate(
         params, profile, s0, args.t_max, tol=args.tol, samples=args.samples
     )
     _print_rows("t,u,v,du,dv,p_v,speed",
@@ -284,7 +288,7 @@ def build_parser() -> _Parser:
     p_geo.set_defaults(func=cmd_geodesic)
 
     p_aud = sub.add_parser("audit", help="run a seeded invariant audit (JSON lines)")
-    p_aud.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p_aud.add_argument("--suite", choices=AUDIT_SUITES, required=True)
     p_aud.add_argument("--seed", type=int, default=0)
     p_aud.add_argument("--count", type=int, default=20)
     p_aud.set_defaults(func=cmd_audit)

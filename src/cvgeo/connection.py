@@ -2,13 +2,13 @@
 
 The connection has one formulation: the frame connection of the
 E(kappa, tau) spaces (kappa = 4m, tau = l/2) written back in coordinates
-as the geodesic acceleration A(v) = -Gamma(v, v) of `_rhs_entries`, a few
-scalar operations per evaluation.  `christoffel`, the table Gamma(e_i, e_j)
-at one point that the Killing defects read, is its polarisation.  The
-curvature tensor is the closed form of the E(kappa, tau) spaces.  The
-Koszul symbols, the rhs from them and finite differences of the metric
-and of the symbols are the oracles of these closed forms; they live with
-the tests (`tests/oracles.py`).
+as the geodesic acceleration A(v) = -Gamma(v, v) of the rhs that
+`_geodesic_rhs` builds, a few scalar operations per evaluation.
+`christoffel`, the table Gamma(e_i, e_j) at one point that the Killing
+defects read, is its polarisation.  The curvature tensor is the closed
+form of the E(kappa, tau) spaces.  The Koszul symbols, the rhs from them
+and finite differences of the metric and of the symbols are the oracles
+of these closed forms; they live with the tests (`tests/oracles.py`).
 
 The geodesic integrator is the adaptive stepper of `_rk` with the
 Dormand-Prince 8(5,3) pair, default tolerance 1e-10, with degree-7
@@ -19,7 +19,7 @@ closed-form geodesic of this package is checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "christoffel",
     "integrate_geodesic",
     "curvature_tensor",
-    "sectional_curvature",
     "frame_sectional",
     "state_speed",
     "annotate_states",
@@ -68,9 +67,10 @@ class GeodesicState:
         return np.concatenate([self.point.as_array(), np.asarray(self.velocity, dtype=float)])
 
 
-def _rhs_entries(l: float, m: float, y6) -> tuple:
-    """Geodesic rhs (v, a) in closed form: the E(kappa, tau) frame connection
-    written back in coordinates by the chain rule.
+def _geodesic_rhs(l: float, m: float):
+    """rhs(y6) -> (v, a), the geodesic rhs of the floats l and m in closed
+    form: the E(kappa, tau) frame connection written back in coordinates by
+    the chain rule.
 
     With D = 1 + m rho^2, c = (y vx - x vy)/D, r = (x vx + y vy)/D and
     K = l (vz + l c/2) - 2 m c (vz + l c/2 is omega^3(v)):
@@ -80,39 +80,43 @@ def _rhs_entries(l: float, m: float, y6) -> tuple:
     acceleration that is not finite raises FloatingPointError; from a
     finite state only an overflow makes one.
     """
-    x, yy, _, vx, vy, vz = y6
-    D = 1.0 + m * (x * x + yy * yy)
-    if not math.isfinite(D):
-        raise FloatingPointError("overflow encountered in the geodesic rhs")
-    if D <= 0.0:
-        raise DomainError(f"metric degenerate: D = {D!r}")
-    c = (yy * vx - x * vy) / D
-    r = (x * vx + yy * vy) / D
-    K = l * (vz + 0.5 * l * c) - 2.0 * m * c
-    mr2 = 2.0 * m * r
-    ax = mr2 * vx - K * vy
-    ay = mr2 * vy + K * vx
-    az = 0.5 * l * K * r
-    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
-        raise FloatingPointError("overflow encountered in the geodesic rhs")
-    return vx, vy, vz, ax, ay, az
+
+    def rhs(y6):
+        x, yy, _, vx, vy, vz = y6
+        D = 1.0 + m * (x * x + yy * yy)
+        if not math.isfinite(D):
+            raise FloatingPointError("overflow encountered in the geodesic rhs")
+        if D <= 0.0:
+            raise DomainError(f"metric degenerate: D = {D!r}")
+        c = (yy * vx - x * vy) / D
+        r = (x * vx + yy * vy) / D
+        K = l * (vz + 0.5 * l * c) - 2.0 * m * c
+        mr2 = 2.0 * m * r
+        ax = mr2 * vx - K * vy
+        ay = mr2 * vy + K * vx
+        az = 0.5 * l * K * r
+        if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(az)):
+            raise FloatingPointError("overflow encountered in the geodesic rhs")
+        return vx, vy, vz, ax, ay, az
+
+    return rhs
 
 
 def christoffel(params: MetricParams, p) -> np.ndarray:
     """Gamma^k_ij of the Levi-Civita connection at one point, shape (3, 3, 3).
 
-    The acceleration A(v) = -Gamma(v, v) of `_rhs_entries`, polarised:
+    The acceleration A(v) = -Gamma(v, v) of `_geodesic_rhs`, polarised:
     Gamma(e_i, e_i) = -A(e_i) and Gamma(e_i, e_j) = (A(e_i) + A(e_j) -
     A(e_i + e_j)) / 2, from six rhs calls; each Gamma^k_ij with i != j is
     computed once, so the table is symmetric in (i, j) bit for bit.  An
     acceleration that overflows raises FloatingPointError.
     """
     x, y, _ = require_in_domain(params, p)
-    l, m = float(params.l), float(params.m)
+    rhs = _geodesic_rhs(float(params.l), float(params.m))
     # A at e_i, then at e_i + e_j, for each pair (i, j)
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     vels = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0))
-    acc = [_rhs_entries(l, m, [x, y, 0.0, *v])[3:] for v in vels]
+    acc = [rhs([x, y, 0.0, *v])[3:] for v in vels]
     gam = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
     for k, gk in enumerate(gam):
         for (i, j), a in zip(pairs, acc):
@@ -159,21 +163,10 @@ class Trajectory:
     integrals: np.ndarray
     speeds: np.ndarray
     exit_reason: str
-    _knots_t: np.ndarray = field(repr=False)
-    _knots_y: np.ndarray = field(repr=False)
-    _knots_f: np.ndarray = field(repr=False)
 
     @property
     def complete(self) -> bool:
         return self.exit_reason == "complete"
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    def sample(self, t_query) -> np.ndarray:
-        """Interpolated (n, 6) states at the requested times."""
-        return _rk.hermite_sample(self._knots_t, self._knots_y, self._knots_f, t_query)
 
     def positions(self) -> np.ndarray:
         return self.states[:, :3]
@@ -189,7 +182,7 @@ def annotate_states(params: MetricParams, states) -> tuple[np.ndarray, np.ndarra
 
     integrals = np.empty((len(states), 4))
     for i, row in enumerate(states.tolist()):
-        integrals[i] = first_integrals(params, GeodesicState(Point3(*row[:3]), row[3:]))
+        integrals[i] = first_integrals(params, row[:3], row[3:])
     return integrals, state_speed(params, states[:, :3], states[:, 3:])
 
 
@@ -220,10 +213,8 @@ def integrate_geodesic(
     raises DomainError.
     """
     x, y, z = require_in_domain(params, s0.point)
-    l, m = float(params.l), float(params.m)  # the rhs runs on Python floats
-
-    def rhs(y6):
-        return _rhs_entries(l, m, y6)
+    m = float(params.m)
+    rhs = _geodesic_rhs(float(params.l), m)  # the rhs runs on Python floats
 
     # the signed room to the domain's edge: the stop shell, or the chart bound
     if m < 0.0:
@@ -243,9 +234,7 @@ def integrate_geodesic(
         else:
             edge = f"(x, y, z) = ({x!r}, {y!r}, {z!r}) past the chart bound max(|x|, |y|, |z|) = {CHART_BOUND!r}"
         raise DomainError(f"start point with {edge} (m = {m!r})")
-    t_out, y_out, (ts, ys, fs), exit_reason = _rk.solve(
-        rhs, y0, t_max, tol, pair=_rk.DOP853, room=room, samples=samples
-    )
+    t_out, y_out, exit_reason = _rk.solve(rhs, y0, t_max, tol, pair=_rk.DOP853, room=room, samples=samples)
     integrals, speeds = annotate_states(params, y_out)
     return Trajectory(
         params=params,
@@ -254,9 +243,6 @@ def integrate_geodesic(
         integrals=integrals,
         speeds=speeds,
         exit_reason=exit_reason,
-        _knots_t=ts,
-        _knots_y=ys,
-        _knots_f=fs,
     )
 
 
@@ -289,11 +275,6 @@ def _sectional(g, r, u, v) -> float:
         raise ValueError("degenerate plane: u, v are metrically collinear")
     num = float(np.einsum("ijkl,i,j,k,l->", r, u, v, v, u))
     return num / float(gram)
-
-
-def sectional_curvature(params: MetricParams, p, u, v) -> float:
-    """Sectional curvature of the plane spanned by coordinate vectors u, v."""
-    return _sectional(metric_tensor(params, p), curvature_tensor(params, p), u, v)
 
 
 def frame_sectional(params: MetricParams, p) -> tuple[float, float]:

@@ -93,11 +93,6 @@ class Frame:
     e2: np.ndarray
     e3: np.ndarray
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Rows are the frame vectors."""
-        return np.stack([self.e1, self.e2, self.e3])
-
 
 def _xyz(p) -> tuple[float, float, float]:
     """Coerce a Point3 or a length-3 sequence to coordinate floats."""

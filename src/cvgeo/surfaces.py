@@ -68,12 +68,11 @@ SURFACE_DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First and second fundamental forms and the oriented unit normal, at
-    one point or stacked over the N points of a grid."""
+    """First and second fundamental forms, at one point or stacked over the
+    N points of a grid."""
 
     first: np.ndarray
     second: np.ndarray
-    normal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,9 +170,8 @@ def _g_prime(params: MetricParams, fv, fpv):
 
 
 def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q) -> FundamentalForms:
-    """First and second fundamental forms and the oriented unit normal at a
-    point q = (u, v), with shapes (2, 2), (2, 2) and (3,), or at an (N, 2)
-    grid, with shapes (N, 2, 2), (N, 2, 2) and (N, 3).
+    """First and second fundamental forms at a point q = (u, v), each of
+    shape (2, 2), or at an (N, 2) grid, each of shape (N, 2, 2).
 
     Rotations about the z axis are isometries, so both forms depend on u
     only, in closed form in f, f', f'', g' and g''.  With d = 1 + m f^2,
@@ -182,14 +180,15 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
         B_uv = -s l f^2 (4 d^2 g'^2 + k f^2 f'^2) / (8 d^4 sqrt(W))
         B_vv = s f^2 g' (2 + (l^2 - 2m) f^2) / (2 d^3 sqrt(W))
     For a z-slice B_uv = -s l k f^4 / (8 d^4 sqrt(W)) is the only entry:
-    it vanishes iff l = 0 or 4m = l^2.  The unit normal xi has the frame
-    components s (-2 d g', l f f', 2 f') / r, r = sqrt(4 d^2 g'^2 +
-    (4 + l^2 f^2) f'^2), at v = 0, and its (omega^1, omega^2) turn with v.
-    The orientation s = sign(omega^3(xi)) = sign(f') where |2 f' / r| >
-    1e-10; elsewhere xi points outward, s = -sign(g'), at every v alike.
-    No metric, connection or cross product is evaluated; W <= 0 raises.
+    it vanishes iff l = 0 or 4m = l^2.  B is taken against the unit normal
+    xi with the frame components s (-2 d g', l f f', 2 f') / r, r =
+    sqrt(4 d^2 g'^2 + (4 + l^2 f^2) f'^2), at v = 0, whose (omega^1,
+    omega^2) turn with v.  The orientation s = sign(omega^3(xi)) = sign(f')
+    where |2 f' / r| > 1e-10; elsewhere xi points outward, s = -sign(g'),
+    at every v alike.  No metric, connection or cross product is evaluated;
+    W <= 0 raises.
     """
-    single, v, (fv, fpv, gpv, fppv, gppv) = _profile_rows(params, profile, q, profile.fpp, profile.gpp)
+    single, _, (fv, fpv, gpv, fppv, gppv) = _profile_rows(params, profile, q, profile.fpp, profile.gpp)
     l, m = params.l, params.m
     e, f, g = _form_coefficients(params, fv, fpv, gpv)
     w = e * g - f * f
@@ -200,11 +199,6 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
     k = 4.0 * m - l * l
     r = np.sqrt(4.0 * d * d * gpv * gpv + (4.0 + l * l * f2) * fpv * fpv)
     s = np.where(np.abs(2.0 * fpv / r) > 1e-10, np.sign(fpv), -np.sign(gpv))
-    n_rad, n_ang, n_up = s * -2.0 * d * gpv / r, s * l * fv * fpv / r, s * 2.0 * fpv / r
-    cv, sv = np.cos(v), np.sin(v)
-    normal = np.column_stack(
-        [d * (cv * n_rad - sv * n_ang), d * (sv * n_rad + cv * n_ang), 0.5 * l * fv * n_ang + n_up]
-    )
     sw = s / np.sqrt(w)
     b_uu = sw * fv * (2.0 * d * (fpv * gppv - fppv * gpv) + k * fv * fpv * fpv * gpv) / (2.0 * d ** 3)
     b_uv = -sw * l * f2 * (4.0 * d * d * gpv * gpv + k * f2 * fpv * fpv) / (8.0 * d ** 4)
@@ -213,8 +207,8 @@ def second_fundamental_form(params: MetricParams, profile: RevolutionProfile, q)
     first = np.stack([e, f, f, g], -1).reshape(-1, 2, 2) + 0.0
     second = np.stack([b_uu, b_uv, b_uv, b_vv], -1).reshape(-1, 2, 2) + 0.0
     if single:
-        return FundamentalForms(first=first[0], second=second[0], normal=normal[0])
-    return FundamentalForms(first=first, second=second, normal=normal)
+        return FundamentalForms(first=first[0], second=second[0])
+    return FundamentalForms(first=first, second=second)
 
 
 def default_grid(profile: RevolutionProfile, nu: int = 10, nv: int = 8) -> np.ndarray:
@@ -273,9 +267,9 @@ def frobenius_scalar(params: MetricParams, p=None) -> float:
     return -d0 * d0 * (dx_beta - dy_alpha)
 
 
-def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4) -> tuple:
-    """Surface-geodesic rhs (u', v', u'', v'') at (u, v, u', v'), a list of
-    Python floats, as a tuple of them.
+def _surface_rhs(params: MetricParams, profile: RevolutionProfile):
+    """rhs(y4) -> (u', v', u'', v''), the surface-geodesic rhs at (u, v, u',
+    v'), a list of Python floats, as a tuple of them.
 
     The Euler-Lagrange equations of E u'^2 + 2 F u' v' + G v'^2, whose
     coefficients depend on u only:
@@ -284,28 +278,32 @@ def _surface_rhs(params: MetricParams, profile: RevolutionProfile, y4) -> tuple:
     numpy's errstate does not watch Python floats, so an acceleration that
     is not finite raises FloatingPointError.
     """
-    u, _, du, dv = y4
-    if not profile.contains(u):
-        raise DomainError(f"u = {u!r} outside the profile domain")
-    fv = profile.f(u)
-    _point_in_domain(params, fv, 0.0)  # the disk bounds the radius only
-    fpv, fppv, gpv, gppv = profile.fp(u), profile.fpp(u), profile.gp(u), profile.gpp(u)
-    e0, f0, g0 = _form_coefficients(params, fv, fpv, gpv)
-    # exact u derivatives, with d = 1 + m f^2 and d' = 2 m f f'
-    d = 1.0 + params.m * fv * fv
-    dp = 2.0 * params.m * fv * fpv
-    de = 2.0 * fpv * (fppv * d - fpv * dp) / d ** 3 + 2.0 * gpv * gppv
-    df = -0.5 * params.l * fv * (fv * gppv + 2.0 * fpv * gpv - fv * gpv * dp / d) / d
-    dg = _g_prime(params, fv, fpv)
 
-    r_u = 0.5 * (dg * dv * dv - de * du * du)
-    r_v = -(df * du + dg * dv) * du
-    det = e0 * g0 - f0 * f0
-    acc_u = (g0 * r_u - f0 * r_v) / det
-    acc_v = (e0 * r_v - f0 * r_u) / det
-    if not (math.isfinite(acc_u) and math.isfinite(acc_v)):
-        raise FloatingPointError("overflow encountered in the surface rhs")
-    return du, dv, acc_u, acc_v
+    def rhs(y4):
+        u, _, du, dv = y4
+        if not profile.contains(u):
+            raise DomainError(f"u = {u!r} outside the profile domain")
+        fv = profile.f(u)
+        _point_in_domain(params, fv, 0.0)  # the disk bounds the radius only
+        fpv, fppv, gpv, gppv = profile.fp(u), profile.fpp(u), profile.gp(u), profile.gpp(u)
+        e0, f0, g0 = _form_coefficients(params, fv, fpv, gpv)
+        # exact u derivatives, with d = 1 + m f^2 and d' = 2 m f f'
+        d = 1.0 + params.m * fv * fv
+        dp = 2.0 * params.m * fv * fpv
+        de = 2.0 * fpv * (fppv * d - fpv * dp) / d ** 3 + 2.0 * gpv * gppv
+        df = -0.5 * params.l * fv * (fv * gppv + 2.0 * fpv * gpv - fv * gpv * dp / d) / d
+        dg = _g_prime(params, fv, fpv)
+
+        r_u = 0.5 * (dg * dv * dv - de * du * du)
+        r_v = -(df * du + dg * dv) * du
+        det = e0 * g0 - f0 * f0
+        acc_u = (g0 * r_u - f0 * r_v) / det
+        acc_v = (e0 * r_v - f0 * r_u) / det
+        if not (math.isfinite(acc_u) and math.isfinite(acc_v)):
+            raise FloatingPointError("overflow encountered in the surface rhs")
+        return du, dv, acc_u, acc_v
+
+    return rhs
 
 
 @dataclass
@@ -345,9 +343,6 @@ def surface_geodesic_integrate(
     if not profile.contains(s0.u):
         raise ValueError(f"u0 = {s0.u!r} outside the profile domain [{lo!r}, {hi!r}]")
 
-    def rhs(y4):
-        return _surface_rhs(params, profile, y4)
-
     margin = 2e-6 * (hi - lo)
     u_lo, u_hi = lo + margin, hi - margin
 
@@ -358,8 +353,8 @@ def surface_geodesic_integrate(
     if not room(y0) >= 0.0:
         raise ValueError(f"u0 = {s0.u!r} outside the integration domain [{u_lo!r}, {u_hi!r}], "
                          "the profile domain less 2e-6 of its length at each end")
-    t_out, y_out, _, exit_reason = _rk.solve(
-        rhs, y0, t_max, tol, pair=_rk.FEHLBERG45, room=room, samples=samples
+    t_out, y_out, exit_reason = _rk.solve(
+        _surface_rhs(params, profile), y0, t_max, tol, pair=_rk.FEHLBERG45, room=room, samples=samples
     )
     e0, f0, g0 = _form_coefficients(
         params, *_profile_values(y_out[:, 0], profile.f, profile.fp, profile.gp)

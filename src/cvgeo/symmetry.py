@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connection import GeodesicState, christoffel
+from .connection import christoffel
 from .space import MetricParams, _metric_scalars, _xyz, metric_tensor, require_in_domain
 
 __all__ = [
@@ -84,16 +84,17 @@ def killing_defect(params: MetricParams, which: str, p) -> float:
     return field_killing_defect(params, lambda q: killing_eval(params, which, q), p)
 
 
-def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
-    """(g(v, X), g(v, Y), g(v, Z), g(v, R)) at the state.
+def first_integrals(params: MetricParams, point, velocity) -> np.ndarray:
+    """(g(v, X), g(v, Y), g(v, Z), g(v, R)) of a velocity at a point, a
+    Point3 or a length-3 sequence, as `state_speed` takes one.
 
     Constant along geodesics; from the origin with velocity (u, v, w) the
     values are (v, u, w, 0).  The lowered velocity is
     g v = (vx/D^2 + alpha w3, vy/D^2 + beta w3, w3) with w3 = omega^3(v),
     and each field is paired with it inline.
     """
-    x, y, _ = require_in_domain(params, state.point)
-    vx, vy, vz = map(float, state.velocity)
+    x, y, _ = require_in_domain(params, point)
+    vx, vy, vz = map(float, velocity)
     l, m = params.l, params.m
     D, al, be = _metric_scalars(params, x, y)
     w3 = al * vx + be * vy + vz
@@ -101,12 +102,12 @@ def first_integrals(params: MetricParams, state: GeodesicState) -> np.ndarray:
     gx = q * vx + al * w3
     gy = q * vy + be * w3
     mxy = 2.0 * m * x * y
-    ints = np.array(
+    # + 0.0 makes a zero integral +0.0, never -0.0
+    return np.array(
         [
-            mxy * gx + (D - 2.0 * m * x * x) * gy - 0.5 * l * x * w3,
-            (D - 2.0 * m * y * y) * gx + mxy * gy + 0.5 * l * y * w3,
-            w3,
-            x * gy - y * gx,
+            mxy * gx + (D - 2.0 * m * x * x) * gy - 0.5 * l * x * w3 + 0.0,
+            (D - 2.0 * m * y * y) * gx + mxy * gy + 0.5 * l * y * w3 + 0.0,
+            w3 + 0.0,
+            x * gy - y * gx + 0.0,
         ]
     )
-    return ints + 0.0  # a zero integral is +0.0, never -0.0

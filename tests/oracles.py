@@ -208,7 +208,7 @@ def koszul_christoffel_entries(l: float, m: float, x: float, y: float):
 
 def koszul_rhs(l: float, m: float, y6) -> np.ndarray:
     """Geodesic rhs (v, -Gamma^k_ij v^i v^j) from the Koszul Christoffel
-    symbols; the oracle of the closed-form `connection._rhs_entries`."""
+    symbols; the oracle of the closed-form `connection._geodesic_rhs`."""
     x, yy = y6[0], y6[1]
     vx, vy, vz = y6[3], y6[4], y6[5]
     gam = koszul_christoffel_entries(l, m, x, yy)
@@ -243,7 +243,7 @@ def annotate_rows(params: MetricParams, states) -> tuple[np.ndarray, np.ndarray]
     speeds = np.empty(n)
     half_l = 0.5 * params.l
     for i, (x, y, z, vx, vy, vz) in enumerate(states.tolist()):
-        integrals[i] = first_integrals(params, GeodesicState(Point3(x, y, z), (vx, vy, vz)))
+        integrals[i] = first_integrals(params, (x, y, z), (vx, vy, vz))
         D = conformal_factor(params, (x, y, z))
         w3 = half_l * y / D * vx - half_l * x / D * vy + vz
         speeds[i] = math.sqrt((vx * vx + vy * vy) / (D * D) + w3 * w3)

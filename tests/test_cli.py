@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cvgeo
-from cvgeo import _rk
+from cvgeo import _rk, cli, profiles
 from cvgeo.audits import SUITES
 from cvgeo.cli import TRACE_HEADER, main
 from cvgeo.closed_forms import closed_form_geodesic
@@ -639,3 +639,36 @@ def test_closed_pipe_exits_1_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert json.loads(first)["check"] == "frobenius-scalar"
     assert "Traceback" not in err and "Error" not in err
+
+
+# ------------------------------------------------------- subcommand imports
+
+def test_the_choices_name_the_suites_and_the_profile_builders():
+    # the parser states the --suite and --profile choices without importing
+    # the modules that hold them
+    assert cli.AUDIT_SUITES == tuple(sorted(SUITES))
+    assert set(cli._PROFILE_BUILDERS) == set(FORMS_GOLDEN)
+    for name, build in cli._PROFILE_BUILDERS.items():
+        (l, m), _ = FORMS_GOLDEN[name]
+        args = cli.build_parser().parse_args(
+            ["surface", "--l", l, "--m", m, "--profile", name, "--action", "forms"])
+        assert build(profiles, args, float(m)).name == name
+
+
+def test_a_geodesic_run_loads_no_audit_or_surface_module():
+    # `audit` and `surface` import their modules when they run: a geodesic
+    # run in a fresh interpreter loads none of them, nor numpy.polynomial
+    src = Path(cvgeo.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        "from cvgeo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['geodesic', '--l', '1', '--m', '1', '--u', '1', '--v', '0', '--w', '1',\n"
+        "                 '--method', 'both', '--t-max', '3', '--samples', '21'])\n"
+        "names = ('cvgeo.profiles', 'cvgeo.surfaces', 'cvgeo.audits', 'numpy.polynomial')\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith(names)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "CVGEO_TOL"}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0 []\n", out

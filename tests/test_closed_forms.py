@@ -285,5 +285,5 @@ def test_boundary_sweep_against_the_oracle(m, l, w, b, sl, sw, angle):
     pos, vel = cf.position(traj.ts), cf.velocity(traj.ts)
     assert np.max(np.abs(pos - traj.positions())) < 1e-6
     assert np.max(np.abs(state_speed(params, pos, vel) - speed0)) <= 1e-12 * speed0
-    omega3 = [first_integrals(params, GeodesicState(Point3(*p), q))[2] for p, q in zip(pos, vel)]
+    omega3 = [first_integrals(params, p, q)[2] for p, q in zip(pos, vel)]
     assert np.max(np.abs(np.array(omega3) - v0[2])) <= 1e-12 * speed0

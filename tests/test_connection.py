@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from battery import dense_states
 from oracles import (
     annotate_rows,
     christoffel_fd,
@@ -17,13 +18,13 @@ from cvgeo.closed_forms import closed_form_geodesic
 from cvgeo.connection import (
     BOUNDARY_MARGIN,
     GeodesicState,
-    _rhs_entries,
+    _geodesic_rhs,
     annotate_states,
     christoffel,
     curvature_tensor,
+    _sectional,
     frame_sectional,
     integrate_geodesic,
-    sectional_curvature,
     state_speed,
 )
 from cvgeo.space import DomainError, MetricParams, Point3, SpaceClass, classify, metric_tensor
@@ -86,7 +87,7 @@ def test_metric_compatibility():
 
 def test_geodesic_rhs_flat():
     params = MetricParams(0.0, 0.0)
-    rhs = np.array(_rhs_entries(params.l, params.m, state(1, 2, 3, -1, 0.5, 2).as_array().tolist()))
+    rhs = np.array(_geodesic_rhs(params.l, params.m)(state(1, 2, 3, -1, 0.5, 2).as_array().tolist()))
     assert np.allclose(rhs, [-1, 0.5, 2, 0, 0, 0])
 
 
@@ -107,7 +108,7 @@ def test_geodesic_rhs_matches_koszul_oracle():
         th = rng.uniform(0.0, 2.0 * math.pi)
         vel = rng.normal(size=3) * rng.uniform(0.1, 3.0)
         y6 = np.array([rho * math.cos(th), rho * math.sin(th), rng.uniform(-3.0, 3.0), *vel])
-        exact = np.array(_rhs_entries(l, m, y6.tolist()))
+        exact = np.array(_geodesic_rhs(l, m)(y6.tolist()))
         oracle = koszul_rhs(l, m, y6)
         scale = max(float(np.max(np.abs(oracle))), 1.0)
         assert np.max(np.abs(exact - oracle)) <= 1e-12 * scale, (l, m, y6)
@@ -124,12 +125,12 @@ def test_geodesic_rhs_matches_koszul_oracle():
 
 def test_geodesic_rhs_raises_where_metric_degenerates():
     with pytest.raises(DomainError):
-        _rhs_entries(1.0, -1.0, [1.0, 0.0, 0.0, 0.3, 0.2, 0.1])
+        _geodesic_rhs(1.0, -1.0)([1.0, 0.0, 0.0, 0.3, 0.2, 0.1])
 
 
 def _rhs_numpy_scalars(l, m, y6):
     """The closed-form rhs read as numpy scalars, whose overflow numpy's
-    errstate sees; the reference of `_rhs_entries`' non-finite contract."""
+    errstate sees; the reference of the non-finite contract of `_geodesic_rhs`."""
     x, yy = y6[0], y6[1]
     vx, vy, vz = y6[3], y6[4], y6[5]
     D = 1.0 + m * (x * x + yy * yy)
@@ -150,14 +151,14 @@ def _rhs_numpy_scalars(l, m, y6):
 ])
 def test_geodesic_rhs_overflow_raises(errstate, y6):
     with np.errstate(**errstate), pytest.raises(FloatingPointError, match="overflow"):
-        _rhs_entries(1.0, 1.0, y6)
+        _geodesic_rhs(1.0, 1.0)(y6)
 
 
 def test_geodesic_rhs_huge_finite_result_does_not_raise():
     y6 = [0.0, 0.0, 0.0, 1e300, -1e300, 1e300]
-    assert np.array_equal(np.array(_rhs_entries(0.0, 0.0, y6)), [1e300, -1e300, 1e300, 0.0, 0.0, 0.0])
+    assert np.array_equal(np.array(_geodesic_rhs(0.0, 0.0)(y6)), [1e300, -1e300, 1e300, 0.0, 0.0, 0.0])
     y6 = [0.5, -0.25, 0.0, 1e150, 1e150, -1e150]
-    assert np.all(np.isfinite(np.array(_rhs_entries(1.5, 0.75, y6))))
+    assert np.all(np.isfinite(np.array(_geodesic_rhs(1.5, 0.75)(y6))))
 
 
 def test_geodesic_rhs_raises_where_the_numpy_scalar_form_overflows():
@@ -178,9 +179,9 @@ def test_geodesic_rhs_raises_where_the_numpy_scalar_form_overflows():
         except (FloatingPointError, DomainError) as exc:
             raised[type(exc)] += 1
             with pytest.raises(type(exc)):
-                _rhs_entries(l, m, y6.tolist())
+                _geodesic_rhs(l, m)(y6.tolist())
             continue
-        got = np.array(_rhs_entries(l, m, y6.tolist()))
+        got = np.array(_geodesic_rhs(l, m)(y6.tolist()))
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (l, m, y6)
     assert all(200 < n < 2000 for n in raised.values()), raised
 
@@ -189,8 +190,8 @@ def test_geodesic_rhs_velocity_homogeneity():
     params = MetricParams(1.3, -0.4)
     s1 = state(0.3, 0.1, 0.0, 0.4, -0.2, 0.7)
     s2 = state(0.3, 0.1, 0.0, 0.8, -0.4, 1.4)
-    a1 = np.array(_rhs_entries(params.l, params.m, s1.as_array().tolist()))[3:]
-    a2 = np.array(_rhs_entries(params.l, params.m, s2.as_array().tolist()))[3:]
+    a1 = np.array(_geodesic_rhs(params.l, params.m)(s1.as_array().tolist()))[3:]
+    a2 = np.array(_geodesic_rhs(params.l, params.m)(s2.as_array().tolist()))[3:]
     assert np.max(np.abs(a2 - 4.0 * a1)) < 1e-12
 
 
@@ -201,7 +202,7 @@ def test_geodesic_rhs_matches_second_difference_of_trajectory():
     dt = traj.ts[1] - traj.ts[0]
     pos = traj.positions()
     acc_fd = (pos[i + 1] - 2 * pos[i] + pos[i - 1]) / dt**2
-    acc = np.array(_rhs_entries(params.l, params.m, traj.states[i].tolist()))[3:]
+    acc = np.array(_geodesic_rhs(params.l, params.m)(traj.states[i].tolist()))[3:]
     assert np.max(np.abs(acc_fd - acc)) < 1e-4
 
 
@@ -224,7 +225,7 @@ def test_integrate_endpoint_matches_closed_form():
     params = MetricParams(1.0, 1.0)
     traj = integrate_geodesic(params, state(0, 0, 0, 1, 0, 1), 1.0)
     cf = closed_form_geodesic(params, (1.0, 0.0, 1.0))
-    assert np.max(np.abs(traj.positions()[-1] - cf.position(traj.t_end))) < 1e-6
+    assert np.max(np.abs(traj.positions()[-1] - cf.position(traj.ts[-1]))) < 1e-6
 
 
 def test_speed_conserved():
@@ -245,7 +246,10 @@ def test_trajectory_monotone_times_and_sampling():
     assert np.all(np.diff(traj.ts) > 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         traj.exit_reason = "complete"
-    mid = traj.sample(0.7)
+    # the knots' interpolant is the library's dense output, bit for bit
+    sampled = integrate_geodesic(params, state(0, 0, 0, 1, 0, 0.5), 1.5, samples=16)
+    assert np.array_equal(dense_states(traj, sampled.ts), sampled.states)
+    mid = dense_states(traj, 0.7)
     assert mid.shape == (6,)
     cf = closed_form_geodesic(params, (1.0, 0.0, 0.5))
     assert np.max(np.abs(mid[:3] - cf.position(0.7))) < 1e-6
@@ -256,7 +260,7 @@ def test_domain_exit_gives_partial_trajectory():
     traj = integrate_geodesic(params, state(0, 0, 0, 1, 0, 0), 14.0)
     assert not traj.complete
     assert traj.exit_reason == "domain-exit"
-    assert traj.t_end < 14.0
+    assert traj.ts[-1] < 14.0
     p = traj.positions()[-1]
     assert p[0] ** 2 + p[1] ** 2 < 1.0
 
@@ -335,14 +339,14 @@ def test_sectional_constant_curvature_case():
         p = random_point(params, rng)
         u = rng.standard_normal(3)
         v = rng.standard_normal(3)
-        vals.append(sectional_curvature(params, p, u, v))
+        vals.append(_sectional(metric_tensor(params, p), curvature_tensor(params, p), u, v))
     assert max(vals) - min(vals) < 1e-8
 
 
 def test_sectional_degenerate_plane_raises():
-    params = MetricParams(1.0, 0.5)
+    params, p = MetricParams(1.0, 0.5), Point3(0.1, 0.2, 0.0)
     with pytest.raises(ValueError):
-        sectional_curvature(params, Point3(0.1, 0.2, 0.0), (1, 0, 0), (2, 0, 0))
+        _sectional(metric_tensor(params, p), curvature_tensor(params, p), (1, 0, 0), (2, 0, 0))
 
 
 def test_state_speed_at_origin_is_euclidean():
@@ -502,7 +506,7 @@ def test_annotate_states_matches_the_row_oracle(cls):
     for start in ((0.0, 0.0, 0.0), (0.3, -0.2, 0.5), (0.0, 0.0, 0.0)):
         v0 = rng.normal(size=3)
         traj = integrate_geodesic(params, GeodesicState(Point3(*start), v0), 20.0)
-        rows += [traj.states, traj.sample(np.linspace(0.0, traj.t_end, 101))]
+        rows += [traj.states, dense_states(traj, np.linspace(0.0, traj.ts[-1], 101))]
     if m < 0.0:
         radial = integrate_geodesic(params, state(0, 0, 0, 1.0, 0.5, 0.2), 30.0)
         assert radial.exit_reason == "domain-exit"

@@ -106,7 +106,7 @@ def test_metric_positive_definite_and_symmetric():
 
 def test_frame_at_origin_and_substitution():
     fr = frame(MetricParams(1.0, 1.0), Point3(0, 0, 0))
-    assert np.allclose(fr.matrix, np.eye(3))
+    assert np.allclose(np.stack([fr.e1, fr.e2, fr.e3]), np.eye(3))
     fr2 = frame(MetricParams(2.0, 0.0), Point3(0, 1, 0))
     assert np.allclose(fr2.e1, [1.0, 0.0, -1.0])
 
@@ -117,7 +117,8 @@ def test_frame_gram_matrix_is_identity():
         params = random_params(rng)
         p = random_point(params, rng)
         fr = frame(params, p)
-        gram = fr.matrix @ metric_tensor(params, p) @ fr.matrix.T
+        rows = np.stack([fr.e1, fr.e2, fr.e3])
+        gram = rows @ metric_tensor(params, p) @ rows.T
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
 

@@ -38,10 +38,9 @@ def test_grid_forms_match_one_point_calls_and_the_fd_oracle(surface, nu, nv):
     grid = default_grid(prof, nu, nv)
     forms = second_fundamental_form(params, prof, grid)
     assert forms.first.shape == forms.second.shape == (nu * nv, 2, 2)
-    assert forms.normal.shape == (nu * nv, 3)
     for i, q in enumerate(grid):
         one = second_fundamental_form(params, prof, q)
-        for rows, point in ((forms.first, one.first), (forms.second, one.second), (forms.normal, one.normal)):
+        for rows, point in ((forms.first, one.first), (forms.second, one.second)):
             assert np.all(np.abs(rows[i] - point) <= 1e-14 * np.maximum(np.abs(point), 1.0))
         assert forms.second[i, 0, 1] == forms.second[i, 1, 0]
         first_row = i - i % nv  # the row at the same u and v = 0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import sys
 from collections import Counter
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from battery import nearest_radius_extremum
-from oracles import embed, meridian_profile_ode_residual, second_fundamental_form_fd, surface_rhs_fd
+from oracles import (
+    _unit_normal,
+    embed,
+    meridian_profile_ode_residual,
+    second_fundamental_form_fd,
+    second_fundamental_form_koszul,
+    surface_rhs_fd,
+)
 import cvgeo.connection
 import cvgeo.space
 import cvgeo.surfaces
@@ -115,18 +123,23 @@ def test_first_form_matches_reference_coefficients():
 # ---------------------------------------------------- second fundamental form
 
 def test_normal_is_metric_unit_and_orthogonal():
+    # the oracle's normal is g-orthonormal to the surface, and B is oriented
+    # by it: the Koszul second form taken against it is the library's
     rng = RNG(32)
     for _ in range(20):
         params = random_params(rng)
         prof = random_profile(params, rng)
         u = float(rng.uniform(*prof.u_domain))
         v = float(rng.uniform(0, 2 * math.pi))
-        forms = second_fundamental_form(params, prof, (u, v))
         point, jac = embed(prof, (u, v))
-        n, g = forms.normal, metric_tensor(params, point)
+        g = metric_tensor(params, point)
+        n = _unit_normal(params, g, point, jac)
         assert math.sqrt(n @ g @ n) == pytest.approx(1.0, abs=1e-10)
         assert abs(n @ g @ jac[:, 0]) < 1e-10
         assert abs(n @ g @ jac[:, 1]) < 1e-10
+        second = second_fundamental_form(params, prof, (u, v)).second
+        koszul = second_fundamental_form_koszul(params, prof, (u, v))
+        assert np.max(np.abs(second - koszul)) <= 1e-12 * max(np.max(np.abs(koszul)), 1.0)
 
 
 def test_second_form_matches_fd_oracle():
@@ -170,13 +183,18 @@ def test_second_form_reads_each_profile_function_once_per_call(monkeypatch):
 
 
 def test_cylinder_forms_do_not_flip_around_the_parallel():
-    # f' = 0, so omega^3 of the normal vanishes: it points outward at every v
-    prof = cylinder(1.0)
+    # f' = 0, so omega^3 of the normal vanishes: it points outward at every
+    # v, and B, oriented by it, is the same at every v
+    params, prof = MetricParams(0.5, 0.3), cylinder(1.0)
     grid = default_grid(prof, 2, 8)
-    forms = second_fundamental_form(MetricParams(0.5, 0.3), prof, grid)
+    forms = second_fundamental_form(params, prof, grid)
     assert np.all(forms.second == forms.second[0])
-    outward = forms.normal[:, 0] * np.cos(grid[:, 1]) + forms.normal[:, 1] * np.sin(grid[:, 1])
-    assert np.all(outward > 0.0)
+    for q, second in zip(grid, forms.second):
+        point, jac = embed(prof, q)
+        n = _unit_normal(params, metric_tensor(params, point), point, jac)
+        assert point[0] * n[0] + point[1] * n[1] > 0.0
+        koszul = second_fundamental_form_koszul(params, prof, q)
+        assert np.max(np.abs(second - koszul)) <= 1e-12 * max(np.max(np.abs(koszul)), 1.0)
 
 
 def test_second_form_keeps_height_unit_compatibility_check():
@@ -554,7 +572,7 @@ def test_surface_rhs_matches_fd_oracle(l, m, seed):
         lo, hi = prof.u_domain
         for u in np.linspace(lo + 1e-3, hi - 1e-3, 9).tolist():
             y4 = (u, 0.3, float(rng.uniform(-1, 1)), float(rng.uniform(-1.5, 1.5)))
-            exact = cvgeo.surfaces._surface_rhs(params, prof, y4)
+            exact = cvgeo.surfaces._surface_rhs(params, prof)(y4)
             scale = max(1.0, np.max(np.abs(exact)))
             assert np.max(np.abs(exact - surface_rhs_fd(params, prof, y4))) < 1e-7 * scale
             _, residual = parallel_is_geodesic(params, prof, u)
@@ -573,7 +591,7 @@ def test_surface_rhs_overflow_raises(errstate, y4):
     # the state is Python floats, which errstate does not watch
     prof = cone(0.5, (0.2, 2.0))
     with np.errstate(**errstate), pytest.raises(FloatingPointError, match="overflow encountered in the surface rhs"):
-        cvgeo.surfaces._surface_rhs(MetricParams(1.0, 0.5), prof, y4)
+        cvgeo.surfaces._surface_rhs(MetricParams(1.0, 0.5), prof)(y4)
 
 
 def test_surface_geodesics_match_fd_oracle_rhs(monkeypatch, bench_workloads):
@@ -585,7 +603,8 @@ def test_surface_geodesics_match_fd_oracle_rhs(monkeypatch, bench_workloads):
         params = MetricParams(inp.l, inp.m)
         cases.append((params, random_profile(params, RNG(inp.profile_seed)), SurfaceGeodesicState(*inp.s0)))
     runs = [surface_geodesic_integrate(*case, 5.0, samples=201) for case in cases]
-    monkeypatch.setattr(cvgeo.surfaces, "_surface_rhs", surface_rhs_fd)
+    monkeypatch.setattr(cvgeo.surfaces, "_surface_rhs",
+                        lambda params, profile: functools.partial(surface_rhs_fd, params, profile))
     for run, case in zip(runs, cases):
         oracle = surface_geodesic_integrate(*case, 5.0, samples=201)
         assert run.exit_reason == oracle.exit_reason

@@ -127,7 +127,7 @@ def test_first_integrals_origin_values_exact():
     for _ in range(50):
         params = random_params(rng)
         u, v, w = rng.uniform(-2, 2, 3)
-        vals = first_integrals(params, state(u, v, w))
+        vals = first_integrals(params, Point3(0, 0, 0), (u, v, w))
         assert vals[0] == v and vals[1] == u and vals[2] == w and vals[3] == 0.0
 
 
@@ -138,11 +138,11 @@ def test_first_integrals_match_pairing_oracle():
         st = GeodesicState(random_point(params, rng), rng.normal(size=3) * rng.uniform(0.1, 3.0))
         oracle = killing_pairings(params, st)
         scale = max(float(np.max(np.abs(oracle))), 1.0)
-        assert np.max(np.abs(first_integrals(params, st) - oracle)) <= 1e-12 * scale
+        assert np.max(np.abs(first_integrals(params, st.point, st.velocity) - oracle)) <= 1e-12 * scale
 
 
 def test_first_integrals_vertical_start():
-    vals = first_integrals(MetricParams(1.7, -0.3), state(0, 0, 1))
+    vals = first_integrals(MetricParams(1.7, -0.3), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     assert np.array_equal(vals, [0.0, 0.0, 1.0, 0.0])
 
 
